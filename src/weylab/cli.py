@@ -19,8 +19,8 @@ from .constants import (DIRICHLET, check_bc, corner_sum, error_envelope,
                         heat_polygon_error_bound, heat_polygon_prediction,
                         heat_two_term_prediction, lt_constant, one_term_prediction,
                         three_term_polygon_prediction, two_term_prediction)
-from .geometry import ConvexPolygon, bishop_gromov_profile, chebyshev_center, \
-    distance_level_volume, inradius, load_polygon, random_convex_polygon, theta_omega
+from .geometry import ConvexPolygon, bishop_gromov_profile, distance_level_volume, \
+    inradius, load_polygon, random_convex_polygon, theta_omega
 from .shapeopt import (optimize_rectangle, optimizer_convergence_study,
                        symmetry_trend, write_trace_csv)
 from .smoothing import (AtomicMeasure, build_mollifier, build_phi_hierarchy,
@@ -30,10 +30,14 @@ from .spectra import (Disk, Rectangle, disk_spectrum, heat_trace,
 
 
 def thread_count():
-    """Parallelism cap from WEYLAB_THREADS (default 4, floor 1)."""
+    """Parallelism cap from WEYLAB_THREADS (default min(4, usable cores), floor 1)."""
     raw = os.environ.get("WEYLAB_THREADS", "").strip()
     if not raw:
-        return 4
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:      # no affinity API on this platform
+            cores = os.cpu_count() or 1
+        return max(1, min(4, cores))
     try:
         return max(1, int(raw))
     except ValueError:
@@ -265,7 +269,7 @@ def cmd_geometry(args):
     worst = {"level_volume_bound": 0.0, "theta_vs_perimeter": 0.0, "bishop_gromov": 0.0}
     for _ in range(args.count):
         poly = random_convex_polygon(rng)
-        r_in = inradius(poly)
+        center, r_in = poly.chebyshev()
         for f in (0.15, 0.5, 0.9):
             s = f * r_in
             gap = distance_level_volume(poly, s) - s * poly.perimeter
@@ -274,7 +278,6 @@ def cmd_geometry(args):
         worst["theta_vs_perimeter"] = max(
             worst["theta_vs_perimeter"],
             abs(theta_omega(poly) - poly.perimeter) / poly.perimeter)
-        center, _ = chebyshev_center(poly)
         prof = bishop_gromov_profile(poly, center, np.linspace(0.1 * r_in, 3.0 * poly.scale, 12))
         worst["bishop_gromov"] = max(worst["bishop_gromov"], float(np.max(np.diff(prof))))
     ok = (worst["level_volume_bound"] <= 1e-9 and worst["theta_vs_perimeter"] <= 1e-9

@@ -70,10 +70,22 @@ class ConvexPolygon:
         self.normals = np.column_stack((e[:, 1], -e[:, 0])) / lengths[:, None]
         self.offsets = np.einsum("ij,ij->i", self.normals, v)
         self.scale = float(np.max(np.ptp(v, axis=0)))
+        self._chebyshev = None
 
     @property
     def n(self):
         return self.vertices.shape[0]
+
+    def chebyshev(self):
+        """(center copy, inradius) from one Chebyshev-center LP per polygon.
+
+        Polygons are never mutated (scaled/translated build new ones), so the
+        solve is cached on the instance.
+        """
+        if self._chebyshev is None:
+            self._chebyshev = chebyshev_center(self)
+        center, radius = self._chebyshev
+        return center.copy(), radius
 
     def contains(self, point, tol=0.0):
         p = np.asarray(point, dtype=float)
@@ -140,8 +152,8 @@ def chebyshev_center(poly):
 
 
 def inradius(poly):
-    """Inradius as the optimum of the Chebyshev-center linear program."""
-    return chebyshev_center(poly)[1]
+    """Inradius as the optimum of the (cached) Chebyshev-center linear program."""
+    return poly.chebyshev()[1]
 
 
 def _sanitize_loop(points, scale):

@@ -83,7 +83,8 @@ def riesz_lift(f, kappa):
     else:
         slopes = np.diff(f.values) / np.diff(g)
     lo, hi = g[:-1], g[1:]
-    chunk = max(1, int(2**22 / max(n, 1)))
+    # rows per chunk: ~2^20 elements, so each of the half-dozen temporaries is ~8 MB
+    chunk = max(1, int(2**20 / max(n, 1)))
     for s in range(1, n, chunk):
         lam = g[s:s + chunk][:, None]
         u0 = np.clip(lam - lo[None, :], 0.0, None)
@@ -121,7 +122,7 @@ def _power_basis(f, kappa):
 
 def _eval_powers(grid, nodes, coef_lo, coef_hi, s_lo, s_hi, prefactor):
     out = np.zeros(len(grid))
-    chunk = max(1, int(2**22 / max(len(nodes), 1)))
+    chunk = max(1, int(2**20 / max(len(nodes), 1)))
     for i in range(0, len(grid), chunk):
         u = np.clip(grid[i:i + chunk][:, None] - nodes[None, :], 0.0, None)
         out[i:i + chunk] = u**s_lo @ coef_lo + u**s_hi @ coef_hi

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import weylab
-from weylab.cli import main, parse_domain, parse_grid
+from weylab.cli import main, parse_domain, parse_grid, thread_count
 from weylab.geometry import ConvexPolygon, save_polygon
 from weylab.spectra import Disk, Rectangle, Spectrum
 
@@ -171,6 +174,21 @@ def test_geometry_suite(capsys):
     assert res["all_ok"] is True
 
 
+def test_geometry_solves_one_lp_per_polygon(capsys, monkeypatch):
+    import weylab.geometry as geometry
+    calls = []
+    real = geometry.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", counted)
+    code, rep = run_cli(capsys, ["geometry", "--count", "5"])
+    assert code == 0 and rep["results"]["all_ok"] is True
+    assert len(calls) == 5
+
+
 def test_shape_opt(tmp_path, capsys):
     csv = str(tmp_path / "trace.csv")
     code, rep = run_cli(capsys, ["shape-opt", "--lambda", "400:500:2",
@@ -209,6 +227,33 @@ def test_identical_invocations_identical_bytes(capsys, monkeypatch):
     monkeypatch.setenv("WEYLAB_THREADS", "1")
     main(argv)
     assert capsys.readouterr().out == first
+
+
+def test_fd_reports_are_identical_across_processes(tmp_path):
+    # eigsh's start vector is seeded, so separate processes print the same bytes
+    square = tmp_path / "square.json"
+    save_polygon(ConvexPolygon.rectangle(1.0, 1.0), str(square))
+    argv = [sys.executable, "-m", "weylab.cli", "heat-check", "--domain", f"polygon:{square}",
+            "--grid-h", "0.02", "--t", "0.01:0.04:4"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(weylab.__file__)), os.environ.get("PYTHONPATH", "")]))
+    runs = [subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+            for _ in range(2)]
+    assert json.loads(runs[0])["results"]["rows"]
+    assert runs[0] == runs[1]
+
+
+def test_default_thread_count_follows_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("WEYLAB_THREADS", raising=False)
+    for cores, want in ((2, 2), (64, 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: set(range(c)),
+                            raising=False)
+        assert thread_count() == want
+    monkeypatch.delattr(os, "sched_getaffinity")        # platforms without affinity
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert thread_count() == 3
+    monkeypatch.setenv("WEYLAB_THREADS", "7")
+    assert thread_count() == 7
 
 
 def test_thread_env_validation(capsys, monkeypatch):

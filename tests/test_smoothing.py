@@ -26,6 +26,31 @@ def test_kernel_is_a_probability_density():
     assert FAM.chi_moment(3) == 0.0
 
 
+def test_psi_tabulation_against_mpmath():
+    # independent 30-digit route: psi(tau) = (norm/pi) int_0^1/2 p(xi) cos(tau xi) dxi
+    # with p the Gevrey profile and norm^2 = pi / int_0^1/2 p^2, by tanh-sinh quadrature.
+    # The trapezoid rule meets it to ~4e-17; the former Gauss-Legendre cosine
+    # quadrature was off by 4.7e-14 at tau = 17.25 and 1.7e-13 in I_0.
+    import mpmath
+    from weylab.smoothing import GEVREY_POWER, GEVREY_SCALE, HALF_BAND, TAB_STEP
+
+    with mpmath.workdps(30):
+        def p(xi):
+            return mpmath.exp(-GEVREY_SCALE * (1 - (xi / HALF_BAND) ** 2) ** -GEVREY_POWER)
+
+        norm = mpmath.sqrt(mpmath.pi / mpmath.quad(lambda x: p(x) ** 2, [0, HALF_BAND]))
+        taus = (0.0, 0.5, 3.0, 17.25)
+        want = [float(norm / mpmath.pi * mpmath.quad(lambda x: p(x) * mpmath.cos(t * x),
+                                                     [0, HALF_BAND])) for t in taus]
+    phi_tab = FAM.psi_majorant(-1)
+    for t, w in zip(taus, want):
+        j = int(round(t / TAB_STEP))
+        assert FAM.tab_grid[j] == t
+        assert abs(float(FAM.psi(t)[0]) - w) <= 1e-15, f"tau={t}"
+        assert abs(phi_tab[j] - w * w) <= 1e-15, f"tau={t}"
+    assert abs(HIER.moments[0] - 1.0) <= 1e-13
+
+
 def test_fourier_transform_band_limited():
     assert abs(FAM.phi_hat(0.0) - 1.0) < 1e-10
     inside = FAM.phi_hat(np.array([0.2, 0.5, 0.9]))
