@@ -113,9 +113,7 @@ def _domain_spectrum(dom, bc, lam_max, h=None):
         raise ValueError("polygon spectra are Dirichlet-only (FD backend)")
     if h is None:
         raise ValueError("polygon spectra need --grid-h")
-    geom = _domain_geometry(dom)
-    est = geom["area"] * lam_max / (4.0 * math.pi) + geom["perimeter"] * math.sqrt(lam_max) / (4.0 * math.pi)
-    return polygon_dirichlet_spectrum_fd(dom, h, int(1.3 * est) + 12)
+    return polygon_dirichlet_spectrum_fd(dom, h, lam_max)
 
 
 # ---- subcommands -----------------------------------------------------------------

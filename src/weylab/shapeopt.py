@@ -8,7 +8,7 @@ import numpy as np
 
 from .constants import (DIRICHLET, check_bc, error_envelope, two_term_prediction)
 from .geometry import ConvexPolygon
-from .spectra import MAX_EIGENVALUES, CapacityError, polygon_dirichlet_spectrum_fd
+from .spectra import MAX_EIGENVALUES, CapacityError, polygon_dirichlet_spectrum_fd, riesz_mean
 
 ASPECT_RANGE = (0.05, 1.0)
 PRESCAN_POINTS = 64        # uncertified schedule for gamma < 1 only
@@ -341,18 +341,7 @@ def two_term_ranking_agreement(lam, gamma, bc, aspects=None, envelope_scale=1.0)
 
 
 def _fd_riesz(poly, lam, gamma, h):
-    spec = polygon_dirichlet_spectrum_fd(poly, h, num_eigs_below(poly, lam))
-    ev = spec.eigenvalues
-    below = ev[ev < lam]
-    if len(below) == len(ev):
-        raise RuntimeError("FD eigenvalue request too small to cover lambda")
-    return float(np.sum((lam - below) ** gamma))
-
-
-def num_eigs_below(poly, lam):
-    """Weyl-based overestimate of the eigenvalue count below lam."""
-    est = poly.area * lam / (4.0 * math.pi) + poly.perimeter * math.sqrt(lam) / (4.0 * math.pi)
-    return int(1.3 * est) + 12
+    return riesz_mean(polygon_dirichlet_spectrum_fd(poly, h, lam), lam, gamma)
 
 
 def optimize_regular_polygon(lam, gamma, sides=(3, 4, 5, 6, 7, 8), h=0.025):

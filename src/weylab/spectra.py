@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
-from scipy.special import jn_zeros, jnp_zeros, jv, jvp
+from scipy.sparse.linalg import eigsh, splu
+from scipy.special import jnyn_zeros, jv, jvp
 
 from .constants import DIRICHLET, NEUMANN, check_bc, lt_constant
 from .geometry import ConvexPolygon, inradius
@@ -32,7 +32,7 @@ class CertifiedRangeError(ValueError):
 
 
 class InsufficientResolutionError(ValueError):
-    """Discretization grid too coarse for the requested number of eigenvalues."""
+    """Discretization grid too coarse for the eigenvalues below the requested threshold."""
 
 
 class ToleranceExceededError(RuntimeError):
@@ -186,7 +186,10 @@ def rectangle_spectrum(a, b, bc, lambda_max):
 
 def _verified_bessel_zeros(nu, count, derivative):
     """Zeros of J_nu (or J_nu') with residual and Rolle-interlacing verification."""
-    zeros = jnp_zeros(nu, count) if derivative else jn_zeros(nu, count)
+    # one jnyn_zeros call yields both zero sets; the derivative check needs
+    # count + 1 zeros of J_nu as its Rolle reference
+    ref, ref_p = jnyn_zeros(nu, count + 1 if derivative else count)[:2]
+    zeros = ref_p[:count] if derivative else ref
     resid = jvp(nu, zeros) if derivative else jv(nu, zeros)
     bad = np.where(np.abs(resid) > 1e-9)[0]
     if len(bad):
@@ -199,7 +202,6 @@ def _verified_bessel_zeros(nu, count, derivative):
         # Rolle: between consecutive zeros of J_nu lies one zero of J_nu' and
         # vice versa.  With the convention that excludes z=0 for nu=0, the
         # derivative zeros sit above the function zeros instead of below.
-        ref = jn_zeros(nu, count + 1)
         lo, hi = (ref[:count], ref[1:]) if nu == 0 else (np.concatenate(([0.0], ref[:count - 1])), ref[:count])
         viol = np.where((zeros <= lo) | (zeros >= hi))[0]
         if len(viol):
@@ -251,8 +253,23 @@ def disk_spectrum(radius, bc, lambda_max):
     return Spectrum(ev, bc, lambda_max, Disk(radius).key(), exact=True, block_ids=blk)
 
 
-def polygon_dirichlet_spectrum_fd(poly, h, num_eigs):
-    """Lowest num_eigs Dirichlet eigenvalues of the 5-point Laplacian on an h-aligned grid."""
+def _count_below(A, shift):
+    """Eigenvalues of symmetric A below shift, by Sylvester's law of inertia: with diagonal
+    pivots and one symmetric permutation, the LU of A - shift*I is L D L^T with D = diag(U)."""
+    lu = splu((A - shift * sparse.identity(A.shape[0], format="csr")).tocsc(),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError(f"inertia factorization at {shift} pivoted off the diagonal; count not certified")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
+    """Every Dirichlet eigenvalue below lambda_max of the 5-point Laplacian on an h-aligned grid.
+
+    The inertia of A - lambda_max*I gives the count N; eigsh must then return
+    N + 1 orthonormal pairs with small residuals, exactly N of them below lambda_max.
+    """
     if not isinstance(poly, ConvexPolygon):
         poly = ConvexPolygon(poly)
     if not h > 0:
@@ -260,8 +277,8 @@ def polygon_dirichlet_spectrum_fd(poly, h, num_eigs):
     r_in = inradius(poly)
     if not h < 0.5 * r_in:
         raise ValueError(f"h = {h} must be smaller than half the inradius {r_in}")
-    if num_eigs < 1:
-        raise ValueError("num_eigs must be >= 1")
+    if not lambda_max > 0:
+        raise ValueError("lambda_max must be > 0")
     xmin, ymin = poly.vertices.min(axis=0)
     xmax, ymax = poly.vertices.max(axis=0)
     i_lo, i_hi = int(math.floor(xmin / h)), int(math.ceil(xmax / h))
@@ -271,39 +288,21 @@ def polygon_dirichlet_spectrum_fd(poly, h, num_eigs):
     X, Y = np.meshgrid(ii * h, jj * h, indexing="ij")
     pts = np.column_stack((X.ravel(), Y.ravel()))
     margin = 1e-6 * h  # grid points essentially on the boundary count as outside
-    inside = np.all(pts @ poly.normals.T < poly.offsets[None, :] - margin, axis=1)
-    mask = inside.reshape(X.shape)
-    n_pts = int(mask.sum())
+    keep = np.flatnonzero(np.all(pts @ poly.normals.T < poly.offsets[None, :] - margin, axis=1))
+    n_pts = len(keep)
+    # 5-point Laplacian of the whole box restricted to the interior points: the
+    # neighbours outside the polygon drop out, which is the Dirichlet condition
+    d2 = [sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) for n in (len(jj), len(ii))]
+    A = sparse.kronsum(*d2, format="csr")[keep][:, keep] / h**2
+    if (abs(A - A.T) > 1e-30).nnz:
+        raise RuntimeError("FD Laplacian is not symmetric")
+    num_eigs = _count_below(A, lambda_max)
     if n_pts < max(num_eigs, 3) + 2:
-        raise InsufficientResolutionError(f"grid has {n_pts} interior points for num_eigs={num_eigs}")
-    idx = -np.ones(mask.shape, dtype=int)
-    idx[mask] = np.arange(n_pts)
-    rows = [np.arange(n_pts)]
-    cols = [np.arange(n_pts)]
-    data = [np.full(n_pts, 4.0 / h**2)]
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        src = mask & np.roll(mask, (-di, -dj), axis=(0, 1))
-        # np.roll wraps; forbid pairs that wrapped around the box edge
-        if di == 1:
-            src[-1, :] = False
-        elif di == -1:
-            src[0, :] = False
-        if dj == 1:
-            src[:, -1] = False
-        elif dj == -1:
-            src[:, 0] = False
-        r = idx[src]
-        c = idx[np.roll(src, (di, dj), axis=(0, 1))]
-        rows.append(r)
-        cols.append(c)
-        data.append(np.full(len(r), -1.0 / h**2))
-    A = sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n_pts, n_pts))
-    assert (abs(A - A.T) > 1e-30).nnz == 0
+        raise InsufficientResolutionError(f"grid has {n_pts} interior points for N({lambda_max}) = {num_eigs}")
     # seeded start vector, so identical inputs give identical bytes; a constant
     # vector would be orthogonal to every odd eigenvector of a symmetric domain
     v0 = np.random.default_rng(0).standard_normal(n_pts)
-    w, v = eigsh(A, k=num_eigs, sigma=0, which="LM", v0=v0)
+    w, v = eigsh(A, k=num_eigs + 1, sigma=0, which="LM", v0=v0)
     order = np.argsort(w)
     w, v = w[order], v[:, order]
     norm_a = 8.0 / h**2
@@ -311,7 +310,14 @@ def polygon_dirichlet_spectrum_fd(poly, h, num_eigs):
     if np.any(resid > 1e-9 * norm_a):
         worst = int(np.argmax(resid))
         raise RuntimeError(f"FD eigenpair {worst} residual {resid[worst]:.3e} exceeds 1e-9*||A|| = {1e-9 * norm_a:.3e}")
-    return Spectrum(w, DIRICHLET, float(w[-1]), _polygon_key(poly), exact=False)
+    # orthonormality rules out one eigenpair returned twice in place of another
+    gram = np.abs(v.T @ v - np.eye(num_eigs + 1)).max()
+    if gram > 1e-8:
+        raise RuntimeError(f"FD eigenvectors are not orthonormal: max |V^T V - I| = {gram:.3e}")
+    below = int(np.count_nonzero(w < lambda_max))
+    if below != num_eigs:
+        raise RuntimeError(f"eigsh finds {below} eigenvalues below {lambda_max}, the inertia count {num_eigs}")
+    return Spectrum(w[:num_eigs], DIRICHLET, lambda_max, _polygon_key(poly), exact=False)
 
 
 def counting_function(spec, lam):

@@ -9,8 +9,8 @@ from weylab import (OptimizationRun, optimize_rectangle, optimize_regular_polygo
                     optimizer_convergence_study, rectangle_riesz_objective,
                     symmetry_trend, two_term_ranking_agreement, write_trace_csv,
                     DIRICHLET, NEUMANN)
-from weylab.shapeopt import _slope_enclosure, _termwise_slopes, num_eigs_below
-from weylab import ConvexPolygon, rectangle_spectrum, riesz_mean
+from weylab.shapeopt import _slope_enclosure, _termwise_slopes
+from weylab import rectangle_spectrum, riesz_mean
 
 # Dirichlet gamma = 1 optima are critical points rho* = sqrt(sum n^2 / sum m^2) of
 # the lattice piece A - pi^2 (rho sum m^2 + sum n^2 / rho) that holds rho*.  Within
@@ -187,13 +187,6 @@ def test_ranking_agreement_counts():
     assert two_term_ranking_agreement(500.0, 1.0, DIRICHLET) == (0, 0)
     assert two_term_ranking_agreement(500.0, 1.0, DIRICHLET, envelope_scale=0.005) == (10, 10)
     assert two_term_ranking_agreement(500.0, 1.0, NEUMANN, envelope_scale=0.005) == (18, 18)
-
-
-def test_num_eigs_below_is_an_overestimate():
-    sq = ConvexPolygon.rectangle(1.0, 1.0)
-    for lam in (30.0, 100.0, 400.0):
-        weyl = lam / (4.0 * math.pi) + 4.0 * math.sqrt(lam) / (4.0 * math.pi)
-        assert num_eigs_below(sq, lam) > weyl
 
 
 def test_regular_polygon_optimizer():

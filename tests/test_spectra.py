@@ -143,7 +143,7 @@ def test_fd_eigenvalue_matches_aligned_grid_formula():
     # (4/h^2)(sin^2(m pi h / 2) + sin^2(n pi h / 2))
     sq = ConvexPolygon.rectangle(1.0, 1.0)
     for h in (1.0 / 30.0, 1.0 / 50.0):
-        spec = polygon_dirichlet_spectrum_fd(sq, h, 4)
+        spec = polygon_dirichlet_spectrum_fd(sq, h, 100.0)
         want1 = (8.0 / h**2) * math.sin(math.pi * h / 2.0) ** 2
         assert abs(spec.eigenvalues[0] - want1) < 1e-9, f"h={h}"
         want2 = (4.0 / h**2) * (math.sin(math.pi * h / 2.0) ** 2
@@ -155,11 +155,66 @@ def test_fd_eigenvalue_matches_aligned_grid_formula():
 def test_fd_guards():
     sq = ConvexPolygon.rectangle(1.0, 1.0)
     with pytest.raises(ValueError):
-        polygon_dirichlet_spectrum_fd(sq, 0.3, 4)       # h >= inradius / 2
-    with pytest.raises(ValueError):
-        polygon_dirichlet_spectrum_fd(sq, 0.05, 0)
+        polygon_dirichlet_spectrum_fd(sq, 0.3, 100.0)   # h >= inradius / 2
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            polygon_dirichlet_spectrum_fd(sq, 0.05, lam)
     with pytest.raises(InsufficientResolutionError):
-        polygon_dirichlet_spectrum_fd(sq, 0.2, 20)
+        polygon_dirichlet_spectrum_fd(sq, 0.2, 200.0)   # all 16 grid modes lie below 200
+
+
+def _square_fd_eigenvalues(h):
+    """Closed-form 5-point Dirichlet eigenvalues (4/h^2)(sin^2(j pi h/2) + sin^2(k pi h/2)), sorted."""
+    s = np.sin(np.arange(1, int(round(1.0 / h))) * math.pi * h / 2.0) ** 2
+    return np.sort((4.0 / h**2) * (s[:, None] + s[None, :]).ravel())
+
+
+def test_fd_count_is_the_closed_form_count():
+    # N(lambda_max) comes from the inertia of A - lambda_max*I; on the unit square
+    # it must equal the closed-form count, also on either side of a double eigenvalue
+    sq = ConvexPolygon.rectangle(1.0, 1.0)
+    for h in (1.0 / 30.0, 1.0 / 50.0):
+        exact = _square_fd_eigenvalues(h)
+        double = exact[1]                  # the (1,2)/(2,1) pair
+        assert exact[2] == double
+        for lam in (30.0, double * (1.0 - 1e-9), double * (1.0 + 1e-9), 500.0, 2000.0):
+            spec = polygon_dirichlet_spectrum_fd(sq, h, lam)
+            want = exact[exact < lam]
+            assert len(spec) == len(want), f"h={h}, lambda_max={lam}"
+            assert np.max(np.abs(spec.eigenvalues - want)) < 1e-9 * lam
+            assert spec.complete_below == lam
+            riesz_mean(spec, lam - 1e-9, 1.0)
+        assert len(polygon_dirichlet_spectrum_fd(sq, h, 0.5 * exact[0])) == 0
+
+
+def test_fd_refuses_an_uncertified_count(monkeypatch):
+    from weylab import spectra
+    sq = ConvexPolygon.rectangle(1.0, 1.0)
+    h, lam = 1.0 / 20.0, 100.0           # four eigenvalues below lam
+    inertia, solver = spectra._count_below, spectra.eigsh
+    # an inertia count off by one either way disagrees with the eigensolver
+    for off in (-1, 1):
+        monkeypatch.setattr(spectra, "_count_below", lambda A, shift, off=off: inertia(A, shift) + off)
+        with pytest.raises(RuntimeError, match="inertia count"):
+            polygon_dirichlet_spectrum_fd(sq, h, lam)
+    monkeypatch.undo()
+
+    class OffDiagonal:
+        perm_r, perm_c = np.array([1, 0]), np.array([0, 1])
+
+    monkeypatch.setattr(spectra, "splu", lambda *args, **kwargs: OffDiagonal())
+    with pytest.raises(RuntimeError, match="off the diagonal"):
+        polygon_dirichlet_spectrum_fd(sq, h, lam)
+    monkeypatch.undo()
+
+    def ghost(*args, **kwargs):          # one eigenpair returned twice, another missed
+        w, v = solver(*args, **kwargs)
+        w[1], v[:, 1] = w[0], v[:, 0]
+        return w, v
+
+    monkeypatch.setattr(spectra, "eigsh", ghost)
+    with pytest.raises(RuntimeError, match="orthonormal"):
+        polygon_dirichlet_spectrum_fd(sq, h, lam)
 
 
 def test_pointwise_spectral_function_center_values():
