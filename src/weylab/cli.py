@@ -8,9 +8,7 @@ bytes.  Dense series go to CSV side files, everything else into the report.
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,36 +19,11 @@ from .constants import (DIRICHLET, check_bc, corner_sum, error_envelope,
                         three_term_polygon_prediction, two_term_prediction)
 from .geometry import ConvexPolygon, bishop_gromov_profile, distance_level_volume, \
     inradius, load_polygon, random_convex_polygon, theta_omega
-from .shapeopt import (optimize_rectangle, optimizer_convergence_study,
-                       symmetry_trend, write_trace_csv)
+from .shapeopt import optimize_rectangle, symmetry_trend, write_trace_csv
 from .smoothing import (AtomicMeasure, build_mollifier, build_phi_hierarchy,
                         iterated_identity_report, tauberian_order_check)
 from .spectra import (Disk, Rectangle, disk_spectrum, heat_trace,
                       polygon_dirichlet_spectrum_fd, rectangle_spectrum, riesz_mean)
-
-
-def thread_count():
-    """Parallelism cap from WEYLAB_THREADS (default min(4, usable cores), floor 1)."""
-    raw = os.environ.get("WEYLAB_THREADS", "").strip()
-    if not raw:
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:      # no affinity API on this platform
-            cores = os.cpu_count() or 1
-        return max(1, min(4, cores))
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"WEYLAB_THREADS must be an integer, got {raw!r}")
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = min(thread_count(), len(items))
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def parse_grid(text, name="grid"):
@@ -157,7 +130,7 @@ def cmd_weyl_check(args):
                 "remainder_over_lambda_gamma": rem / lam**g,
                 "envelope": env, "within_envelope": bool(abs(rem) <= env)}
 
-    rows = _pmap(row, [float(l) for l in lams])
+    rows = [row(float(l)) for l in lams]
     verdict = all(r["within_envelope"] for r in rows)
     return {"rows": rows, "all_within_envelope": verdict}
 
@@ -181,7 +154,7 @@ def cmd_polygon_check(args):
                 "third_term_ratio": (computed - two) / lam**g,
                 "residual_after_three": computed - three}
 
-    rows = _pmap(row, [float(l) for l in lams])
+    rows = [row(float(l)) for l in lams]
     dev = float(np.mean([abs(r["third_term_ratio"] - target) for r in rows]))
     return {"rows": rows, "corner_sum": target, "mean_abs_third_term_deviation": dev}
 
@@ -285,7 +258,7 @@ def cmd_geometry(args):
 
 def cmd_shape_opt(args):
     lams = [float(l) for l in parse_grid(args.lam, "--lambda")]
-    runs = _pmap(lambda l: optimize_rectangle(l, args.gamma, args.bc, args.tol), lams)
+    runs = [optimize_rectangle(l, args.gamma, args.bc, args.tol) for l in lams]
     out = {"runs": [r.to_report() for r in runs]}
     if len(lams) > 1:
         study = [(r.lam, r.best[0], abs(r.best[0] - 1.0)) for r in runs]

@@ -172,37 +172,3 @@ def error_envelope(lam, gamma, perimeter, inradius, dim, bc, alpha=None):
     lnp = max(math.log(x), 0.0)
     return scale * ((1.0 + lnp) ** (-alpha * max(1.0, gamma)) + x ** (1 - dim))
 
-
-@dataclass(frozen=True)
-class PredictionReport:
-    """A computed value against its closed-form prediction at one energy/time."""
-
-    lambda_or_t: float
-    computed: float
-    predicted: float
-    remainder: float
-    envelope: float
-
-    def __post_init__(self):
-        if self.envelope < 0:
-            raise ValueError("envelope must be >= 0")
-
-    def to_dict(self):
-        return {
-            "lambda_or_t": self.lambda_or_t,
-            "computed": self.computed,
-            "predicted": self.predicted,
-            "remainder": self.remainder,
-            "envelope": self.envelope,
-        }
-
-
-def make_report(lambda_or_t, computed, predicted, envelope):
-    """Assemble a PredictionReport with remainder = computed - predicted."""
-    return PredictionReport(
-        lambda_or_t=float(lambda_or_t),
-        computed=float(computed),
-        predicted=float(predicted),
-        remainder=float(computed) - float(predicted),
-        envelope=float(envelope),
-    )

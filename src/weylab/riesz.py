@@ -129,14 +129,13 @@ def _eval_powers(grid, nodes, coef_lo, coef_hi, s_lo, s_hi, prefactor):
     return out * prefactor
 
 
-def semigroup_check(f, kappa1, kappa2, tol=None):
+def semigroup_check(f, kappa1, kappa2):
     """Sup-norm deviation between the iterated lift and the order kappa1+kappa2 lift.
 
     The iterated side carries the kappa1-lift exactly (as shifted plus-powers)
     into the kappa2-lift via the Beta-function cell integrals, so the reported
     deviation is pure evaluation error, not resampling error.  Returns the
-    deviation; `tol` is carried for callers that want to compare in one place
-    (the function itself never raises on it).
+    deviation.
     """
     if not (kappa1 > 0 and kappa2 > 0):
         raise ValueError("kappa1, kappa2 must be > 0")

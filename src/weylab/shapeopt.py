@@ -1,14 +1,13 @@
-"""Riesz-mean shape optimization over unit-area rectangles and regular polygons."""
+"""Riesz-mean shape optimization over unit-area rectangles."""
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (DIRICHLET, check_bc, error_envelope, two_term_prediction)
-from .geometry import ConvexPolygon
-from .spectra import MAX_EIGENVALUES, CapacityError, polygon_dirichlet_spectrum_fd, riesz_mean
+from .constants import DIRICHLET, check_bc
+from .spectra import _expand
 
 ASPECT_RANGE = (0.05, 1.0)
 PRESCAN_POINTS = 64        # uncertified schedule for gamma < 1 only
@@ -33,8 +32,6 @@ class OptimizationRun:
     optimizer_trace: tuple
     best: tuple
     degenerate: bool = False
-    experimental: bool = False
-    error_bars: tuple = ()
     certified_gap: float | None = None
 
     def __post_init__(self):
@@ -65,8 +62,6 @@ class OptimizationRun:
             "best": {"params": self.best[0], "objective": self.best[1]},
             "certified_gap": self.certified_gap,
             "degenerate": self.degenerate,
-            "experimental": self.experimental,
-            "error_bars": list(self.error_bars),
             "trace": [{"params": p, "objective": v} for p, v in self.optimizer_trace],
         }
 
@@ -98,16 +93,6 @@ def _sq_sum(n):
 def _rows(lam, rho_min, bc, s):
     m = np.arange(_first_index(bc), math.floor(math.sqrt(lam / (s * rho_min))) + 2, dtype=float)
     return m, s * m * m
-
-
-def _expand(m, top, lo):
-    """Explicit (m, n) pairs for n = lo..top[i] on row m[i]."""
-    cnt = np.maximum(top - lo + 1, 0).astype(np.int64)
-    if cnt.sum() > MAX_EIGENVALUES:
-        raise CapacityError(f"{cnt.sum()} lattice terms exceed cap {MAX_EIGENVALUES}")
-    rows = np.repeat(np.arange(m.size), cnt)
-    n = lo + np.arange(rows.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return m[rows], n.astype(float)
 
 
 def rectangle_riesz_objective(rho, lam, gamma, bc, area=1.0):
@@ -308,64 +293,6 @@ def symmetry_trend(study, slack=1e-9):
     """True when the symmetry gaps along the ladder are weakly decreasing."""
     gaps = [g for _, _, g in study]
     return all(b <= a + slack for a, b in zip(gaps, gaps[1:]))
-
-
-def two_term_ranking_agreement(lam, gamma, bc, aspects=None, envelope_scale=1.0):
-    """Compare exact-objective and two-term-prediction rankings of rectangles.
-
-    Pairs whose predicted gap stays within the (scaled) remainder envelopes are
-    skipped as incomparable; returns (comparable_pairs, agreeing_pairs).  With
-    the unit-prefactor envelope most desk-scale pairs are incomparable, so the
-    scale lets a calibrated, sharper envelope drive a non-vacuous check.
-    """
-    bc = check_bc(bc)
-    if aspects is None:
-        aspects = np.linspace(0.2, 1.0, 9)
-    exact, pred, env = [], [], []
-    for rho in aspects:
-        a, b = 1.0 / math.sqrt(rho), math.sqrt(rho)
-        per = 2.0 * (a + b)
-        exact.append(rectangle_riesz_objective(rho, lam, gamma, bc))
-        pred.append(two_term_prediction(lam, gamma, 2, 1.0, per, bc))
-        env.append(envelope_scale * error_envelope(lam, gamma, per, 0.5 * min(a, b), 2, bc))
-    comparable = agree = 0
-    for i in range(len(aspects)):
-        for j in range(i):
-            gap = pred[i] - pred[j]
-            if abs(gap) <= env[i] + env[j]:
-                continue
-            comparable += 1
-            if gap * (exact[i] - exact[j]) > 0:
-                agree += 1
-    return comparable, agree
-
-
-def _fd_riesz(poly, lam, gamma, h):
-    return riesz_mean(polygon_dirichlet_spectrum_fd(poly, h, lam), lam, gamma)
-
-
-def optimize_regular_polygon(lam, gamma, sides=(3, 4, 5, 6, 7, 8), h=0.025):
-    """Experimental: Dirichlet Riesz maximization over unit-area regular n-gons.
-
-    FD spectra at h and h/2 are Richardson-extrapolated; the h-refinement
-    difference /3 is carried as an error bar per candidate.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be > 0")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    trace, bars = [], []
-    for n in sides:
-        poly = ConvexPolygon.regular(int(n))
-        coarse = _fd_riesz(poly, lam, gamma, h)
-        fine = _fd_riesz(poly, lam, gamma, 0.5 * h)
-        extrap = fine + (fine - coarse) / 3.0
-        trace.append((int(n), extrap))
-        bars.append((int(n), abs(fine - coarse) / 3.0))
-    j = int(np.argmax([v for _, v in trace]))
-    return OptimizationRun("regular-polygon", float(lam), float(gamma), DIRICHLET,
-                           tuple(trace), trace[j], experimental=True,
-                           error_bars=tuple(bars))
 
 
 def write_trace_csv(run, path):

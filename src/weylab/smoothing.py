@@ -1,5 +1,6 @@
 """Band-limited mollifiers, their antiderivative hierarchies, and smoothed Riesz means."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -8,7 +9,7 @@ from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import beta as beta_function, roots_jacobi
 
 from .constants import check_bc, lt_constant
-from .spectra import Rectangle, _rectangle_modes
+from .spectra import Rectangle, _mode_amplitudes
 
 GEVREY_POWER = 1.5         # steepness of the spectral-profile bump (frozen by a decay scan)
 GEVREY_SCALE = 4.0
@@ -56,8 +57,6 @@ class MollifierFamily:
     Tabulations, antiderivative chains and majorant chains are built lazily and
     shared by every hierarchy on the family.
     """
-
-    kind = "bump-squared"
 
     def __init__(self):
         step = 2.0 * math.pi / (FFT_SIZE * TAB_STEP)
@@ -213,15 +212,10 @@ class MollifierFamily:
         return edge * (2.0 * TAB_HALF_WIDTH) ** K / math.factorial(K)
 
 
-_FAMILIES = {}
-
-
-def build_mollifier(kind="bump-squared"):
-    if kind != "bump-squared":
-        raise ValueError(f"unknown mollifier kind: {kind!r}")
-    if kind not in _FAMILIES:
-        _FAMILIES[kind] = MollifierFamily()
-    return _FAMILIES[kind]
+@functools.cache
+def build_mollifier():
+    """The one shared mollifier family, built on first use."""
+    return MollifierFamily()
 
 
 @dataclass(frozen=True)
@@ -734,15 +728,7 @@ def tauberian_order_check(rect, bc, x, gamma, lambda_grid):
     if dev > bound * (1.0 + 1e-12):
         raise RuntimeError("reflection heat bound violated; spectra untrustworthy")
 
-    px, py = float(x[0]), float(x[1])
-    m, n, ev = _rectangle_modes(rect, lam[-1] * (1.0 + 1e-9), bc)
-    if bc == "dirichlet":
-        amp = (4.0 / (rect.a * rect.b)) * np.sin(m * math.pi * px / rect.a) ** 2 \
-            * np.sin(n * math.pi * py / rect.b) ** 2
-    else:
-        amp = (np.where(m == 0, 1.0, 2.0) * np.where(n == 0, 1.0, 2.0)
-               / (rect.a * rect.b)) * np.cos(m * math.pi * px / rect.a) ** 2 \
-            * np.cos(n * math.pi * py / rect.b) ** 2
+    amp, ev = _mode_amplitudes(rect, x, lam[-1] * (1.0 + 1e-9), bc)
     main_c = lt_constant(gamma, 2)
     rem = np.empty(lam.size)
     for i, l in enumerate(lam):
@@ -766,15 +752,3 @@ def tauberian_order_check(rect, bc, x, gamma, lambda_grid):
         raise ValueError("lambda grid too sparse for a 12-block envelope fit")
     slope, _ = np.polyfit(np.log(tau_star), np.log(rem_star), 1)
     return float(slope)
-
-
-def write_tau_csv(path, taus, values):
-    """CSV export of a tabulated function as (tau, value) rows."""
-    taus = np.asarray(taus, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if taus.shape != values.shape:
-        raise ValueError("taus and values must have matching shapes")
-    with open(path, "w") as fh:
-        fh.write("tau,value\n")
-        for t, v in zip(taus, values):
-            fh.write(f"{t:.17g},{v:.17g}\n")

@@ -159,29 +159,43 @@ class Spectrum:
                    header["exact"], block_ids=blks)
 
 
+def _expand(m, top, lo):
+    """Explicit (m, n) pairs for n = lo..top[i] on row m[i], m-major."""
+    cnt = np.maximum(top - lo + 1, 0).astype(np.int64)
+    if cnt.sum() > MAX_EIGENVALUES:
+        raise CapacityError(f"{cnt.sum()} lattice terms exceed cap {MAX_EIGENVALUES}")
+    rows = np.repeat(np.arange(m.size), cnt)
+    n = lo + np.arange(rows.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return m[rows], n.astype(float)
+
+
+def _rectangle_modes(a, b, bc, lam):
+    """Lattice modes (m, n, ev) below lam, m-major, with ev = pi^2(m^2/a^2 + n^2/b^2).
+
+    Dirichlet takes m, n >= 1, Neumann m, n >= 0.  The rows and each row's n run
+    one past their real-valued bounds and the filter ev < lam decides, so rounding
+    in a bound cannot drop a mode.
+    """
+    lo = 1 if bc == DIRICHLET else 0
+    pi2 = math.pi**2
+    m_hi = int(math.floor(a * math.sqrt(max(lam - pi2 * lo / (b * b), 0.0)) / math.pi)) + 1
+    if m_hi > MAX_EIGENVALUES:
+        raise CapacityError(f"{m_hi} lattice rows exceed cap {MAX_EIGENVALUES}")
+    m = np.arange(lo, m_hi + 1, dtype=float)
+    rem = np.maximum(lam - pi2 * m * m / (a * a), 0.0)
+    m, n = _expand(m, np.floor(b * np.sqrt(rem) / math.pi) + 1, lo)
+    ev = pi2 * (m * m / (a * a) + n * n / (b * b))
+    keep = ev < lam
+    return m[keep], n[keep], ev[keep]
+
+
 def rectangle_spectrum(a, b, bc, lambda_max):
     """All eigenvalues pi^2(m^2/a^2 + n^2/b^2) below lambda_max (Dirichlet m,n>=1, Neumann m,n>=0)."""
     if not (a > 0 and b > 0 and lambda_max > 0):
         raise ValueError("need a, b, lambda_max > 0")
     bc = check_bc(bc)
-    estimate = a * b * lambda_max / (4 * math.pi) + (a + b) * math.sqrt(lambda_max) + 16
-    if estimate > MAX_EIGENVALUES:
-        raise CapacityError(f"~{estimate:.3g} eigenvalues below {lambda_max} exceeds cap {MAX_EIGENVALUES}")
-    lo = 1 if bc == DIRICHLET else 0
-    pi2 = math.pi**2
-    m_hi = int(math.floor(a * math.sqrt(lambda_max) / math.pi)) + 1
-    vals = []
-    for m in range(lo, m_hi + 1):
-        rem = lambda_max - pi2 * m * m / (a * a)
-        if rem <= 0 and m > 0:
-            continue
-        n_hi = int(math.floor(b * math.sqrt(max(rem, 0.0)) / math.pi)) + 1
-        n = np.arange(lo, n_hi + 1)
-        lam = pi2 * (m * m / (a * a) + n * n / (b * b))
-        vals.append(lam[lam < lambda_max])
-    ev = np.sort(np.concatenate(vals)) if vals else np.array([])
-    dom = Rectangle(a, b).key()
-    return Spectrum(ev, bc, lambda_max, dom, exact=True)
+    ev = np.sort(_rectangle_modes(a, b, bc, lambda_max)[2])
+    return Spectrum(ev, bc, lambda_max, Rectangle(a, b).key(), exact=True)
 
 
 def _verified_bessel_zeros(nu, count, derivative):
@@ -358,25 +372,18 @@ def heat_trace(spec, t, volume=None, tol=None):
     return value, tail
 
 
-def _rectangle_modes(rect, lam, bc):
-    lo = 1 if bc == DIRICHLET else 0
-    pi2 = math.pi**2
-    m_hi = int(math.floor(rect.a * math.sqrt(lam) / math.pi)) + 1
-    out_m, out_n, out_ev = [], [], []
-    for m in range(lo, m_hi + 1):
-        rem = lam - pi2 * m * m / (rect.a**2)
-        if rem <= 0 and m > 0:
-            continue
-        n_hi = int(math.floor(rect.b * math.sqrt(max(rem, 0.0)) / math.pi)) + 1
-        n = np.arange(lo, n_hi + 1)
-        ev = pi2 * (m * m / rect.a**2 + n * n / rect.b**2)
-        keep = ev < lam
-        out_m.append(np.full(keep.sum(), m))
-        out_n.append(n[keep])
-        out_ev.append(ev[keep])
-    if not out_m:
-        return np.array([]), np.array([]), np.array([])
-    return np.concatenate(out_m), np.concatenate(out_n), np.concatenate(out_ev)
+def _mode_amplitudes(rect, x, lam, bc):
+    """Weights |u_mn(x)|^2 of the normalized eigenfunctions, and their eigenvalues, below lam."""
+    px, py = float(x[0]), float(x[1])
+    m, n, ev = _rectangle_modes(rect.a, rect.b, bc, lam)
+    if bc == DIRICHLET:
+        amp = (4.0 / (rect.a * rect.b)) * np.sin(m * math.pi * px / rect.a) ** 2 \
+            * np.sin(n * math.pi * py / rect.b) ** 2
+    else:
+        amp = (np.where(m == 0, 1.0, 2.0) * np.where(n == 0, 1.0, 2.0)
+               / (rect.a * rect.b)) * np.cos(m * math.pi * px / rect.a) ** 2 \
+            * np.cos(n * math.pi * py / rect.b) ** 2
+    return amp, ev
 
 
 def pointwise_spectral_function(rect, x, lam, gamma, bc):
@@ -387,44 +394,9 @@ def pointwise_spectral_function(rect, x, lam, gamma, bc):
     px, py = float(x[0]), float(x[1])
     if not (0.0 < px < rect.a and 0.0 < py < rect.b):
         raise ValueError("x must lie strictly inside the rectangle")
-    m, n, ev = _rectangle_modes(rect, lam, bc)
-    if len(ev) == 0:
-        return 0.0
-    if bc == DIRICHLET:
-        amp = (4.0 / (rect.a * rect.b)) * np.sin(m * math.pi * px / rect.a) ** 2 \
-            * np.sin(n * math.pi * py / rect.b) ** 2
-    else:
-        eps_m = np.where(m == 0, 1.0, 2.0)
-        eps_n = np.where(n == 0, 1.0, 2.0)
-        amp = (eps_m * eps_n / (rect.a * rect.b)) * np.cos(m * math.pi * px / rect.a) ** 2 \
-            * np.cos(n * math.pi * py / rect.b) ** 2
+    amp, ev = _mode_amplitudes(rect, x, lam, bc)
     w = (lam - ev) ** gamma if gamma > 0 else 1.0
     return float(np.sum(amp * w))
-
-
-@dataclass(frozen=True)
-class SpectralFunctionSample:
-    point: tuple
-    dist_to_boundary: float
-    values: dict  # lambda -> e_lambda(x, x)
-
-    def __post_init__(self):
-        if not self.dist_to_boundary > 0:
-            raise ValueError("sample point must be interior")
-        v = list(self.values.values())
-        if any(b < a - 1e-12 for a, b in zip(v, v[1:])):
-            raise ValueError("spectral function must be nondecreasing in lambda")
-
-
-def sample_spectral_function(rect, x, lambdas, bc=DIRICHLET):
-    """Tabulate e_lambda(x,x) on an increasing lambda grid for a rectangle."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(np.diff(lambdas) <= 0):
-        raise ValueError("lambda grid must be strictly increasing")
-    px, py = float(x[0]), float(x[1])
-    dist = min(px, rect.a - px, py, rect.b - py)
-    vals = {float(l): pointwise_spectral_function(rect, x, l, 0.0, bc) for l in lambdas}
-    return SpectralFunctionSample((px, py), dist, vals)
 
 
 def dirichlet_neumann_trace_gap(spec_d, spec_n, lam, gamma=1.0):

@@ -16,9 +16,9 @@ from weylab import (AtomicMeasure, ConvexPolygon, Rectangle, SampledFunction,
                     heat_polygon_prediction, heat_trace, inradius, lt_constant,
                     minkowski_ball_area, optimize_rectangle,
                     polygon_dirichlet_spectrum_fd, random_convex_polygon,
-                    rectangle_spectrum, riesz_interpolation_certificate, riesz_lift,
-                    riesz_mean, semigroup_check, tauberian_order_check,
-                    theta_omega, verify_iterated_identity, DIRICHLET, NEUMANN)
+                    rectangle_spectrum, riesz_interpolation_certificate, riesz_mean,
+                    semigroup_check, tauberian_order_check, theta_omega,
+                    verify_iterated_identity, DIRICHLET, NEUMANN)
 
 SQUARE = Rectangle(1.0, 1.0)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import weylab
-from weylab.cli import main, parse_domain, parse_grid, thread_count
+from weylab.cli import main, parse_domain, parse_grid
 from weylab.geometry import ConvexPolygon, save_polygon
 from weylab.spectra import Disk, Rectangle, Spectrum
 
@@ -217,14 +217,10 @@ def test_report_goes_to_file_with_out(tmp_path, capsys):
     assert rep["results"]["table"][0]["dim"] == 2
 
 
-def test_identical_invocations_identical_bytes(capsys, monkeypatch):
+def test_identical_invocations_identical_bytes(capsys):
     argv = ["weyl-check", "--lambda", "1e3:1e4:5log", "--gamma", "0.5"]
     main(argv)
     first = capsys.readouterr().out
-    main(argv)
-    assert capsys.readouterr().out == first
-    # and independent of the worker count
-    monkeypatch.setenv("WEYLAB_THREADS", "1")
     main(argv)
     assert capsys.readouterr().out == first
 
@@ -241,26 +237,6 @@ def test_fd_reports_are_identical_across_processes(tmp_path):
             for _ in range(2)]
     assert json.loads(runs[0])["results"]["rows"]
     assert runs[0] == runs[1]
-
-
-def test_default_thread_count_follows_the_usable_cores(monkeypatch):
-    monkeypatch.delenv("WEYLAB_THREADS", raising=False)
-    for cores, want in ((2, 2), (64, 4)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: set(range(c)),
-                            raising=False)
-        assert thread_count() == want
-    monkeypatch.delattr(os, "sched_getaffinity")        # platforms without affinity
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert thread_count() == 3
-    monkeypatch.setenv("WEYLAB_THREADS", "7")
-    assert thread_count() == 7
-
-
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("WEYLAB_THREADS", "many")
-    code, rep = run_cli(capsys, ["weyl-check", "--lambda", "1e3:1e4:3log"])
-    assert code == 1
-    assert "WEYLAB_THREADS must be an integer" in rep["error"]["message"]
 
 
 def test_argparse_exits_are_propagated(capsys):

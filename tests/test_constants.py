@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from weylab import (DIRICHLET, NEUMANN, PredictionReport, SemiclassicalParams,
-                    boundary_sign, check_bc, corner_sum, default_envelope_alpha,
-                    error_envelope, heat_polygon_error_bound, heat_polygon_prediction,
-                    heat_two_term_prediction, lt_constant, make_report,
-                    one_term_prediction, three_term_polygon_prediction,
-                    two_term_prediction)
+from weylab import (DIRICHLET, NEUMANN, SemiclassicalParams, boundary_sign, check_bc,
+                    corner_sum, default_envelope_alpha, error_envelope,
+                    heat_polygon_error_bound, heat_polygon_prediction,
+                    heat_two_term_prediction, lt_constant, one_term_prediction,
+                    three_term_polygon_prediction, two_term_prediction)
 
 
 def test_lt_constant_reference_values():
@@ -150,11 +149,3 @@ def test_envelope_preconditions():
         error_envelope(10.0, 1.0, -4.0, 0.5, 2, DIRICHLET)
     with pytest.raises(ValueError):
         error_envelope(10.0, 1.0, 4.0, 0.0, 2, DIRICHLET)
-
-
-def test_report_assembly():
-    r = make_report(10.0, 3.5, 3.0, 1.0)
-    assert r.remainder == 0.5
-    assert r.to_dict()["predicted"] == 3.0
-    with pytest.raises(ValueError):
-        PredictionReport(1.0, 1.0, 1.0, 0.0, -1.0)

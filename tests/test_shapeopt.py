@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from weylab import (OptimizationRun, optimize_rectangle, optimize_regular_polygon,
-                    optimizer_convergence_study, rectangle_riesz_objective,
-                    symmetry_trend, two_term_ranking_agreement, write_trace_csv,
+from weylab import (OptimizationRun, optimize_rectangle, optimizer_convergence_study,
+                    rectangle_riesz_objective, symmetry_trend, write_trace_csv,
                     DIRICHLET, NEUMANN)
 from weylab.shapeopt import _slope_enclosure, _termwise_slopes
 from weylab import rectangle_spectrum, riesz_mean
@@ -182,26 +181,6 @@ def test_symmetry_trend_logic():
     assert symmetry_trend(wobble, slack=0.0) is False
 
 
-def test_ranking_agreement_counts():
-    # unit envelopes make every desk-scale pair incomparable (vacuously perfect)
-    assert two_term_ranking_agreement(500.0, 1.0, DIRICHLET) == (0, 0)
-    assert two_term_ranking_agreement(500.0, 1.0, DIRICHLET, envelope_scale=0.005) == (10, 10)
-    assert two_term_ranking_agreement(500.0, 1.0, NEUMANN, envelope_scale=0.005) == (18, 18)
-
-
-def test_regular_polygon_optimizer():
-    run = optimize_regular_polygon(80.0, 1.0, sides=(3, 4, 5), h=0.05)
-    assert run.experimental
-    assert [n for n, _ in run.optimizer_trace] == [3, 4, 5]
-    assert run.best[0] == 4          # the square beats triangle and pentagon here
-    assert abs(run.best[1] - 128.21447698471533) < 1e-5
-    assert len(run.error_bars) == 3
-    for (n, bar), (tn, val) in zip(run.error_bars, run.optimizer_trace):
-        assert n == tn and 0.0 <= bar < 0.05 * abs(val)
-    with pytest.raises(ValueError):
-        optimize_regular_polygon(-1.0, 1.0)
-
-
 def test_run_record_validation():
     with pytest.raises(ValueError):
         OptimizationRun("rectangle", 0.0, 1.0, DIRICHLET, (), (1.0, 0.0))
@@ -221,7 +200,7 @@ def test_run_record_validation():
     rep = OptimizationRun("rectangle", 10.0, 1.0, DIRICHLET,
                           ((0.5, 3.0), (0.9, 7.0)), (0.9, 7.0)).to_report()
     assert rep["best"] == {"params": 0.9, "objective": 7.0}
-    assert len(rep["trace"]) == 2 and rep["experimental"] is False
+    assert len(rep["trace"]) == 2
     assert rep["certified_gap"] is None
 
 

@@ -1,7 +1,5 @@
 """Band-limited mollifier hierarchy, smoothed Riesz means, and the iterated identity."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +8,7 @@ from weylab import (AtomicMeasure, OddDistributionFunction, PhiHierarchy, Rectan
                     build_mollifier, build_phi_hierarchy, majorant_check,
                     reflection_heat_bound, smoothed_riesz, tauberian_order_check,
                     unsmoothed_riesz, verify_iterated_identity,
-                    iterated_identity_report, write_tau_csv, DIRICHLET, NEUMANN)
+                    iterated_identity_report, DIRICHLET, NEUMANN)
 from weylab.smoothing import (ENVELOPE_POWER, ENVELOPE_RATE, ENVELOPE_SCALE,
                               WINDOW_HALF_WIDTH, _identity_sides)
 
@@ -164,8 +162,6 @@ def test_truncation_stability_gate():
 def test_hierarchies_are_cached():
     assert build_phi_hierarchy(FAM, 0.1, 6) is HIER
     assert build_mollifier() is FAM
-    with pytest.raises(ValueError):
-        build_mollifier("triangle")
 
 
 def test_atomic_measure_merging_and_guards():
@@ -308,15 +304,3 @@ def test_pointwise_order_fit_refusals():
         tauberian_order_check(sq, DIRICHLET, (0.5, 0.5), 1.0, np.geomspace(1e3, 1e5, 6))
     with pytest.raises(ValueError):
         tauberian_order_check(sq, DIRICHLET, (0.5, 0.5), 1.0, np.linspace(-1.0, 1e5, 100))
-
-
-def test_tau_csv_export(tmp_path):
-    path = tmp_path / "series.csv"
-    taus = np.linspace(0.0, 2.0, 5)
-    write_tau_csv(path, taus, taus**2)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "tau,value"
-    assert len(lines) == 6
-    assert float(lines[2].split(",")[1]) == 0.25
-    with pytest.raises(ValueError):
-        write_tau_csv(path, taus, taus[:-1])

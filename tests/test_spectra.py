@@ -10,8 +10,7 @@ from weylab import (CapacityError, CertifiedRangeError, ConvexPolygon, Disk,
                     ToleranceExceededError, counting_function,
                     dirichlet_neumann_trace_gap, disk_spectrum, heat_trace,
                     pointwise_spectral_function, polygon_dirichlet_spectrum_fd,
-                    rectangle_spectrum, riesz_mean, sample_spectral_function,
-                    DIRICHLET, NEUMANN)
+                    rectangle_spectrum, riesz_mean, DIRICHLET, NEUMANN)
 
 PI2 = math.pi**2
 
@@ -47,6 +46,28 @@ def test_counting_and_riesz_reference_values():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         rectangle_spectrum(1.0, 1.0, DIRICHLET, 1e9)
+    # long thin rectangles: too many lattice terms, or too many rows even to list them
+    with pytest.raises(CapacityError):
+        rectangle_spectrum(100.0, 0.01, DIRICHLET, 1e9)
+    with pytest.raises(CapacityError):
+        rectangle_spectrum(1e5, 1e-3, NEUMANN, 1e9)
+    # ... but a thin Dirichlet rectangle whose first eigenvalue is above lambda is empty
+    assert len(rectangle_spectrum(1e5, 1e-5, DIRICHLET, 1e9)) == 0
+
+
+def test_rectangle_lattice_is_complete_off_the_square():
+    """Seeded draws of sides and lambda against a brute-force meshgrid enumeration."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(50):
+        a, b = rng.uniform(0.2, 3.0, 2)
+        lam = rng.uniform(1.0, 3e4)
+        for bc, lo in ((DIRICHLET, 1), (NEUMANN, 0)):
+            m, n = np.meshgrid(np.arange(lo, int(a * math.sqrt(lam) / math.pi) + 3, dtype=float),
+                               np.arange(lo, int(b * math.sqrt(lam) / math.pi) + 3, dtype=float))
+            ev = PI2 * (m * m / (a * a) + n * n / (b * b))
+            want = np.sort(ev[ev < lam])
+            got = rectangle_spectrum(a, b, bc, lam).eigenvalues
+            assert np.array_equal(got, want), (a, b, lam, bc)
 
 
 def test_disk_spectrum_bessel_oracles():
@@ -229,16 +250,6 @@ def test_pointwise_spectral_function_center_values():
         pointwise_spectral_function(rect, (0.0, 0.5), 50.0, 0.0, DIRICHLET)
     with pytest.raises(ValueError):
         pointwise_spectral_function(rect, (0.5, 0.5), 50.0, -1.0, DIRICHLET)
-
-
-def test_sample_spectral_function_monotone():
-    rect = Rectangle(1.0, 2.0)
-    sample = sample_spectral_function(rect, (0.31, 0.47), np.linspace(5.0, 300.0, 40))
-    vals = list(sample.values.values())
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert abs(sample.dist_to_boundary - 0.31) < 1e-15
-    with pytest.raises(ValueError):
-        sample_spectral_function(rect, (0.3, 0.4), [10.0, 5.0])
 
 
 def test_trace_gap_sign_and_guards():
