@@ -26,5 +26,5 @@ from .smoothing import (AtomicMeasure, MollifierFamily, OddDistributionFunction,
                         iterated_identity_report, majorant_check, reflection_heat_bound,
                         smoothed_riesz, tauberian_order_check, unsmoothed_riesz,
                         verify_iterated_identity)
-from .shapeopt import (OptimizationRun, optimize_rectangle, optimizer_convergence_study,
-                       rectangle_riesz_objective, symmetry_trend, write_trace_csv)
+from .shapeopt import (OptimizationRun, optimize_rectangle, rectangle_riesz_objective,
+                       symmetry_trend, write_trace_csv)

@@ -338,7 +338,7 @@ def build_parser():
     sp = sub.add_parser("shape-opt", help="rectangle Riesz-mean optimization runs")
     common(sp, domain=False, lam=True)
     sp.add_argument("--tol", type=float, default=1e-12,
-                    help="certified relative optimality gap (gamma >= 1)")
+                    help="certified relative optimality gap")
     sp.add_argument("--csv", default=None, help="export the last run's trace as CSV")
     sp.set_defaults(handler=cmd_shape_opt)
 

@@ -10,9 +10,7 @@ from .constants import DIRICHLET, check_bc
 from .spectra import _expand
 
 ASPECT_RANGE = (0.05, 1.0)
-PRESCAN_POINTS = 64        # uncertified schedule for gamma < 1 only
 MAX_EVALUATIONS = 20000    # branch-and-bound evaluation cap; the gap is reported either way
-_INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -22,7 +20,7 @@ class OptimizationRun:
     Dirichlet runs maximize the Riesz mean, Neumann runs minimize it; the
     orientation is part of the record so the trace invariant is unambiguous.
     certified_gap is the proven relative optimality gap |R* - best| / |best|
-    (up to floating-point roundoff), or None when the run carries no certificate.
+    (up to floating-point roundoff).
     """
 
     family: str
@@ -31,16 +29,15 @@ class OptimizationRun:
     bc: str
     optimizer_trace: tuple
     best: tuple
+    certified_gap: float
     degenerate: bool = False
-    certified_gap: float | None = None
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("lambda must be > 0")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if self.certified_gap is not None and not (math.isfinite(self.certified_gap)
-                                                   and self.certified_gap >= 0):
+        if not (math.isfinite(self.certified_gap) and self.certified_gap >= 0):
             raise ValueError("certified_gap must be finite and >= 0")
         objs = [obj for _, obj in self.optimizer_trace]
         if objs:
@@ -126,14 +123,19 @@ def rectangle_riesz_objective(rho, lam, gamma, bc, area=1.0):
 
 
 def _slope_enclosure(p, q, lam, gamma, bc, s):
-    """Interval [lo, hi] containing dR/drho almost everywhere on [p, q], gamma >= 1.
+    """Slope interval [lo, hi] and crossing sums (cp, cq, cmax) for R on [p, q].
 
-    Each lattice term contributes w s (n^2/rho^2 - m^2) with w = gamma
+    Each lattice term contributes w s (n^2/rho^2 - m^2) to dR/drho with w = gamma
     (lam - lambda_mn)_+^(gamma - 1); w is enclosed through the range of the
     convex lambda_mn(rho) over [p, q], and n^2/rho^2 - m^2 decreases in rho.
-    Row m holds terms below lam at both ends for n <= n_in and somewhere in
-    [p, q] for n <= n_sup.  At gamma = 1 the rows are summed in closed form,
-    otherwise term by term (_termwise_slopes, also the closed form's reference).
+    For gamma < 1, w is unbounded where lambda_mn crosses lam, so the crossing
+    terms (min lambda_mn < lam <= max lambda_mn on [p, q]) leave the slope sum:
+    cp and cq are their sum at p and at q, cmax = sum (lam - min lambda_mn)^gamma
+    bounds it on [p, q].  For gamma >= 1 the enclosure holds a.e. for every term
+    and the crossing sums are 0.  Row m holds terms below lam at both ends for
+    n <= n_in and somewhere in [p, q] for n <= n_sup.  At gamma = 1 the rows are
+    summed in closed form, otherwise term by term (_termwise_slopes, also the
+    closed form's reference).
     """
     m, sm2 = _rows(lam, p, bc, s)
     top_p = _row_top(lam - sm2 * p, p, s)
@@ -158,7 +160,7 @@ def _slope_enclosure(p, q, lam, gamma, bc, s):
     d_lo += np.where(neg > k, -sm2 * (neg - k) + s / q**2 * (_sq_sum(neg) - _sq_sum(k)), 0.0)
     d_hi += np.where(n_sup > pos,
                      -sm2 * (n_sup - pos) + s / p**2 * (_sq_sum(n_sup) - _sq_sum(pos)), 0.0)
-    return float(np.sum(d_lo)), float(np.sum(d_hi))
+    return float(np.sum(d_lo)), float(np.sum(d_hi)), 0.0, 0.0, 0.0
 
 
 def _termwise_slopes(p, q, lam, gamma, bc, s, m, n_sup):
@@ -166,14 +168,26 @@ def _termwise_slopes(p, q, lam, gamma, bc, s, m, n_sup):
     lam_p = s * (m * m * p + n * n / p)
     lam_q = s * (m * m * q + n * n / q)
     lam_min = np.where(n <= m * p, lam_p, np.where(n >= m * q, lam_q, 2.0 * s * m * n))
+    lam_max = np.maximum(lam_p, lam_q)
 
     def weight(x):
-        return np.where(x > 0.0, gamma * np.abs(x) ** (gamma - 1.0), 0.0)
+        pos = x > 0.0  # keeps 0^(gamma - 1) out of the evaluated branch
+        return np.where(pos, gamma * np.where(pos, x, 1.0) ** (gamma - 1.0), 0.0)
 
-    w_lo, w_hi = weight(lam - np.maximum(lam_p, lam_q)), weight(lam - lam_min)
+    w_lo, w_hi = weight(lam - lam_max), weight(lam - lam_min)
+    crossing = 0.0, 0.0, 0.0
+    if gamma < 1:
+        cross = (lam_min < lam) & (lam_max >= lam)
+        w_hi[cross] = 0.0
+
+        def term(ev):  # (lam - ev)_+^gamma over the crossing terms; 0^0 must count 0
+            x = lam - ev[cross]
+            return float(np.sum(np.where(x > 0.0, np.maximum(x, 0.0) ** gamma, 0.0)))
+
+        crossing = term(lam_p), term(lam_q), term(lam_min)
     g_lo, g_hi = s * (n * n / q**2 - m * m), s * (n * n / p**2 - m * m)
     return (float(np.sum(np.minimum(w_lo * g_lo, w_hi * g_lo))),
-            float(np.sum(np.maximum(w_lo * g_hi, w_hi * g_hi))))
+            float(np.sum(np.maximum(w_lo * g_hi, w_hi * g_hi))), *crossing)
 
 
 def _interval_bound(p, q, fp, fq, slope_lo, slope_hi):
@@ -185,62 +199,51 @@ def _interval_bound(p, q, fp, fq, slope_lo, slope_hi):
     return max(fp, fq, fp + slope_hi * x)
 
 
-def _branch_and_bound(f, slopes, lo, hi, tol):
-    """Certified maximization of a Lipschitz f on [lo, hi] (Piyavskii-Shubert style).
+def _rectangle_bound(p, q, fp, fq, lam, gamma, bc):
+    """Upper bound of sign R on [p, q] given fp = sign R(p) and fq = sign R(q).
 
-    slopes(p, q) encloses f' on [p, q]; intervals are bisected best-bound first
-    until the best bound is within tol * |best| of the best sample.  Returns the
-    certified relative gap.
+    sign is +1 (Dirichlet, maximize) or -1 (Neumann, minimize).  The smooth
+    terms are bounded from their endpoint values and slope enclosure, the
+    crossing terms (gamma < 1) by their largest value above and by 0 below.
+    """
+    sign = 1.0 if bc == DIRICHLET else -1.0
+    d_lo, d_hi, cp, cq, cmax = _slope_enclosure(p, q, lam, gamma, bc, math.pi**2)
+    slopes = (d_lo, d_hi) if sign > 0 else (-d_hi, -d_lo)
+    return (_interval_bound(p, q, fp - sign * cp, fq - sign * cq, *slopes)
+            + max(0.0, sign * cmax))
+
+
+def _branch_and_bound(f, bound, lo, hi, tol):
+    """Certified maximization of f on [lo, hi] (Piyavskii-Shubert style).
+
+    bound(p, q, f(p), f(q)) bounds f above on [p, q]; intervals are bisected
+    best-bound first until the best bound is within tol * |best| of the best
+    sample.  Returns the certified relative gap.
     """
     f_lo, f_hi = f(lo), f(hi)
     best = max(f_lo, f_hi)
-    heap = [(-_interval_bound(lo, hi, f_lo, f_hi, *slopes(lo, hi)), lo, hi, f_lo, f_hi)]
+    heap = [(-bound(lo, hi, f_lo, f_hi), lo, hi, f_lo, f_hi)]
     evals = 2
     while True:
-        bound = -heap[0][0]
+        top = -heap[0][0]
         scale = abs(best) or 1.0
-        if bound - best <= tol * scale or evals >= MAX_EVALUATIONS:
-            return max(bound - best, 0.0) / scale
+        if top - best <= tol * scale or evals >= MAX_EVALUATIONS:
+            return max(top - best, 0.0) / scale
         _, p, q, fp, fq = heapq.heappop(heap)
         c = 0.5 * (p + q)
         fc = f(c)
         evals += 1
         best = max(best, fc)
         for a, b, fa, fb in ((p, c, fp, fc), (c, q, fc, fq)):
-            heapq.heappush(heap, (-_interval_bound(a, b, fa, fb, *slopes(a, b)), a, b, fa, fb))
-
-
-def _golden_section(f, tol):
-    """Uncertified schedule: pre-scan, then golden section around the best sample."""
-    rhos = np.linspace(ASPECT_RANGE[0], ASPECT_RANGE[1], PRESCAN_POINTS)
-    i = int(np.argmax([f(r) for r in rhos]))
-    lo = rhos[max(i - 1, 0)]
-    hi = rhos[min(i + 1, len(rhos) - 1)]
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
+            heapq.heappush(heap, (-bound(a, b, fa, fb), a, b, fa, fb))
 
 
 def optimize_rectangle(lam, gamma, bc, tol=1e-12):
     """Certified global optimum of the Riesz mean over aspect rho in [0.05, 1].
 
-    For gamma >= 1 the objective is Lipschitz in rho and the search is a
-    branch-and-bound on interval slope enclosures: the run stops once the
-    optimum is proven within relative gap tol of the best sample, and records
-    that gap.  For gamma < 1 the objective is not Lipschitz; those runs fall
-    back to a pre-scan plus golden section down to a bracket of width tol and
-    carry no certificate.
+    The search is a branch-and-bound on interval bounds (_rectangle_bound): the
+    run stops once the optimum is proven within relative gap tol of the best
+    sample, and records that gap.
     """
     bc = check_bc(bc)
     if not tol > 0:
@@ -250,7 +253,6 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     sign = 1.0 if bc == DIRICHLET else -1.0
-    s = math.pi**2
     trace = []
 
     def f(rho):
@@ -258,35 +260,18 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
         trace.append((float(rho), val))
         return sign * val
 
-    def slopes(p, q):
-        d_lo, d_hi = _slope_enclosure(p, q, lam, gamma, bc, s)
-        return (d_lo, d_hi) if sign > 0 else (-d_hi, -d_lo)
+    def bound(p, q, fp, fq):
+        return _rectangle_bound(p, q, fp, fq, lam, gamma, bc)
 
-    if gamma >= 1:
-        gap = _branch_and_bound(f, slopes, ASPECT_RANGE[0], ASPECT_RANGE[1], tol)
-    else:
-        _golden_section(f, tol)
-        gap = None
+    gap = _branch_and_bound(f, bound, *ASPECT_RANGE, tol)
     objs = np.array([v for _, v in trace])
     if np.max(np.abs(objs)) == 0.0:
         # lambda sits below every first eigenvalue in the family
         return OptimizationRun("rectangle", float(lam), float(gamma), bc,
-                               tuple(trace), (1.0, 0.0), degenerate=True, certified_gap=gap)
+                               tuple(trace), (1.0, 0.0), gap, degenerate=True)
     j = int(np.argmax(sign * objs))
     return OptimizationRun("rectangle", float(lam), float(gamma), bc,
-                           tuple(trace), trace[j], certified_gap=gap)
-
-
-def optimizer_convergence_study(lambdas, gamma, bc, tol=1e-12):
-    """Best aspect and symmetry gap |best - 1| along an increasing lambda ladder."""
-    lambdas = [float(l) for l in lambdas]
-    if any(b < a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambdas must be nondecreasing")
-    out = []
-    for lam in lambdas:
-        run = optimize_rectangle(lam, gamma, bc, tol)
-        out.append((lam, run.best[0], abs(run.best[0] - 1.0)))
-    return out
+                           tuple(trace), trace[j], gap)
 
 
 def symmetry_trend(study, slack=1e-9):

@@ -205,6 +205,11 @@ def test_shape_opt(tmp_path, capsys):
     # a single-lambda campaign carries no study block
     code, rep = run_cli(capsys, ["shape-opt", "--lambda", "100:100:1", "--tol", "1e-3"])
     assert "study" not in rep["results"]
+    # gamma < 1 runs are certified too
+    code, rep = run_cli(capsys, ["shape-opt", "--lambda", "3e3:3e3:1", "--gamma", "0.5",
+                                 "--tol", "1e-6"])
+    gap = rep["results"]["runs"][0]["certified_gap"]
+    assert isinstance(gap, float) and gap <= 1e-6
 
 
 def test_report_goes_to_file_with_out(tmp_path, capsys):

@@ -1,14 +1,13 @@
-"""Fixed-area shape optimization of Riesz means over rectangles and regular polygons."""
+"""Fixed-area shape optimization of Riesz means over rectangles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from weylab import (OptimizationRun, optimize_rectangle, optimizer_convergence_study,
-                    rectangle_riesz_objective, symmetry_trend, write_trace_csv,
-                    DIRICHLET, NEUMANN)
-from weylab.shapeopt import _slope_enclosure, _termwise_slopes
+from weylab import (OptimizationRun, optimize_rectangle, rectangle_riesz_objective,
+                    symmetry_trend, write_trace_csv, DIRICHLET, NEUMANN)
+from weylab.shapeopt import _rectangle_bound, _slope_enclosure, _termwise_slopes
 from weylab import rectangle_spectrum, riesz_mean
 
 # Dirichlet gamma = 1 optima are critical points rho* = sqrt(sum n^2 / sum m^2) of
@@ -76,7 +75,8 @@ def test_slope_enclosure_contains_the_difference_quotients():
         bc = DIRICHLET if rng.random() < 0.5 else NEUMANN
         p = float(rng.uniform(0.05, 0.95))
         q = min(1.0, p + float(10.0 ** rng.uniform(-4.0, -0.5)))
-        lo, hi = _slope_enclosure(p, q, lam, gamma, bc, s)
+        lo, hi, *crossing = _slope_enclosure(p, q, lam, gamma, bc, s)
+        assert crossing == [0.0, 0.0, 0.0]
         xs = np.linspace(p, q, 201)
         ys = np.array([rectangle_riesz_objective(x, lam, gamma, bc) for x in xs])
         dq = np.diff(ys) / np.diff(xs)
@@ -86,6 +86,7 @@ def test_slope_enclosure_contains_the_difference_quotients():
             m = np.arange(1 if bc == DIRICHLET else 0, int(math.sqrt(lam / (s * p))) + 2.0)
             n_sup = np.floor(np.sqrt(lam / s))  # superset: slack rows contribute zero
             ref = _termwise_slopes(p, q, lam, 1.0, bc, s, m, np.full(m.shape, n_sup))
+            assert ref[2:] == (0.0, 0.0, 0.0)
             assert abs(ref[0] - lo) <= 1e-12 * (abs(lo) + abs(hi))
             assert abs(ref[1] - hi) <= 1e-12 * (abs(lo) + abs(hi))
 
@@ -152,16 +153,42 @@ def test_square_wins_just_above_the_ground_state():
     assert run.best[0] == 1.0
 
 
-def test_sub_lipschitz_runs_carry_no_certificate():
-    # gamma < 1: (lam - lambda)_+^gamma has unbounded slope where lambda crosses lam
-    run = optimize_rectangle(500.0, 0.5, DIRICHLET, tol=1e-6)
-    assert run.certified_gap is None
-    assert run.to_report()["certified_gap"] is None
-    assert run.best[1] == max(v for _, v in run.optimizer_trace)
+def test_sub_lipschitz_runs_are_certified_against_a_scan():
+    # gamma < 1: (lam - lambda)_+^gamma has unbounded slope where lambda crosses lam;
+    # a 64-point pre-scan plus golden section returned 268209.94 at rho = 0.86547
+    # for the first case, below the global 268212.66 at rho = 0.91842
+    rhos = np.linspace(0.05, 1.0, 8001)
+    for gamma, bc in ((0.5, DIRICHLET), (0.0, DIRICHLET), (0.5, NEUMANN)):
+        run = optimize_rectangle(3e4, gamma, bc)
+        assert run.certified_gap <= 1e-12
+        sign = 1.0 if bc == DIRICHLET else -1.0
+        scan = sign * np.array([rectangle_riesz_objective(r, 3e4, gamma, bc) for r in rhos])
+        assert sign * run.best[1] >= scan.max() - (run.certified_gap + 1e-13) * abs(run.best[1])
+        if gamma == 0.5 and bc == DIRICHLET:
+            assert abs(run.best[0] - 0.91842) < 1e-5
+            assert abs(run.best[1] - 268212.66) < 0.01
+
+
+def test_interval_bound_dominates_the_objective():
+    # the branch-and-bound bound on [p, q] from the endpoint values must hold at
+    # every sample, crossing terms (gamma < 1) included
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        lam = float(10.0 ** rng.uniform(1.5, 4.0))
+        gamma = float(rng.choice([0.0, 0.25, 0.5, 1.0, 1.5]))
+        bc = DIRICHLET if rng.random() < 0.5 else NEUMANN
+        sign = 1.0 if bc == DIRICHLET else -1.0
+        p = float(rng.uniform(0.05, 0.95))
+        q = min(1.0, p + float(10.0 ** rng.uniform(-4.0, -0.5)))
+        xs = np.linspace(p, q, 201)
+        ys = sign * np.array([rectangle_riesz_objective(x, lam, gamma, bc) for x in xs])
+        top = _rectangle_bound(p, q, ys[0], ys[-1], lam, gamma, bc)
+        assert ys.max() <= top + 1e-12 * (np.abs(ys).max() + 1.0)
 
 
 def test_convergence_study_pins():
-    study = optimizer_convergence_study([100.0, 300.0, 1000.0], 1.0, DIRICHLET)
+    runs = [optimize_rectangle(lam, 1.0, DIRICHLET) for lam in (100.0, 300.0, 1000.0)]
+    study = [(r.lam, r.best[0], abs(r.best[0] - 1.0)) for r in runs]
     want = [(100.0, 0.7608859102526822), (300.0, 1.0), (1000.0, 0.8924902359848785)]
     for (lam, rho, gap), (wlam, wrho) in zip(study, want):
         assert lam == wlam
@@ -169,8 +196,6 @@ def test_convergence_study_pins():
         assert abs(gap - abs(wrho - 1.0)) < RHO_PREC
     # measured gaps 0.239, 0.0, 0.108: not a weakly decreasing ladder
     assert symmetry_trend(study) is False
-    with pytest.raises(ValueError):
-        optimizer_convergence_study([300.0, 100.0], 1.0, DIRICHLET)
 
 
 def test_symmetry_trend_logic():
@@ -183,25 +208,24 @@ def test_symmetry_trend_logic():
 
 def test_run_record_validation():
     with pytest.raises(ValueError):
-        OptimizationRun("rectangle", 0.0, 1.0, DIRICHLET, (), (1.0, 0.0))
+        OptimizationRun("rectangle", 0.0, 1.0, DIRICHLET, (), (1.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        OptimizationRun("rectangle", 10.0, -1.0, DIRICHLET, (), (1.0, 0.0))
+        OptimizationRun("rectangle", 10.0, -1.0, DIRICHLET, (), (1.0, 0.0), 0.0)
     # the recorded winner must dominate its own trace
     with pytest.raises(ValueError):
         OptimizationRun("rectangle", 10.0, 1.0, DIRICHLET,
-                        ((0.5, 3.0), (0.9, 7.0)), (0.5, 3.0))
+                        ((0.5, 3.0), (0.9, 7.0)), (0.5, 3.0), 0.0)
     with pytest.raises(ValueError):
         OptimizationRun("rectangle", 10.0, 1.0, NEUMANN,
-                        ((0.5, 3.0), (0.9, 7.0)), (0.9, 7.0))
+                        ((0.5, 3.0), (0.9, 7.0)), (0.9, 7.0), 0.0)
     for bad in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            OptimizationRun("rectangle", 10.0, 1.0, DIRICHLET, (), (1.0, 0.0),
-                            certified_gap=bad)
+            OptimizationRun("rectangle", 10.0, 1.0, DIRICHLET, (), (1.0, 0.0), bad)
     rep = OptimizationRun("rectangle", 10.0, 1.0, DIRICHLET,
-                          ((0.5, 3.0), (0.9, 7.0)), (0.9, 7.0)).to_report()
+                          ((0.5, 3.0), (0.9, 7.0)), (0.9, 7.0), 0.0).to_report()
     assert rep["best"] == {"params": 0.9, "objective": 7.0}
     assert len(rep["trace"]) == 2
-    assert rep["certified_gap"] is None
+    assert rep["certified_gap"] == 0.0
 
 
 def test_trace_csv(tmp_path):
