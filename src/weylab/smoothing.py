@@ -26,13 +26,10 @@ ENVELOPE_RATE = 1.66       # measured decay envelope phi(tau) <= SCALE exp(-RATE
 ENVELOPE_POWER = 0.6
 ENVELOPE_SCALE = 16.0
 
-_GL_CACHE = {}
 
-
+@functools.cache
 def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _restrict(ppoly, lo, hi):
