@@ -14,13 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh, splu
-from scipy.special import jnyn_zeros, jv, jvp
+from scipy.special import j0, j1, jv, jvp
 
 from .constants import DIRICHLET, NEUMANN, check_bc, lt_constant
 from .geometry import ConvexPolygon, inradius
 
 # memory cap for analytic enumeration (number of eigenvalues)
 MAX_EIGENVALUES = 5_000_000
+
+# Bessel-zero grid step: below the smallest gap (> 2.9) between consecutive zeros
+# of J_nu or of J_nu', and below every j'_{nu,1} - nu (> 0.8)
+BESSEL_GRID_STEP = 0.5
 
 
 class CapacityError(RuntimeError):
@@ -198,30 +202,71 @@ def rectangle_spectrum(a, b, bc, lambda_max):
     return Spectrum(ev, bc, lambda_max, Rectangle(a, b).key(), exact=True)
 
 
-def _verified_bessel_zeros(nu, count, derivative):
-    """Zeros of J_nu (or J_nu') with residual and Rolle-interlacing verification."""
-    # one jnyn_zeros call yields both zero sets; the derivative check needs
-    # count + 1 zeros of J_nu as its Rolle reference
-    ref, ref_p = jnyn_zeros(nu, count + 1 if derivative else count)[:2]
-    zeros = ref_p[:count] if derivative else ref
-    resid = jvp(nu, zeros) if derivative else jv(nu, zeros)
-    bad = np.where(np.abs(resid) > 1e-9)[0]
-    if len(bad):
-        k = bad[0] + 1
-        raise RuntimeError(f"Bessel zero bracketing failure at (nu={nu}, k={k}): residual {resid[bad[0]]:.3e}")
-    if np.any(np.diff(zeros) <= 0):
-        k = int(np.where(np.diff(zeros) <= 0)[0][0]) + 1
-        raise RuntimeError(f"Bessel zero ordering failure at (nu={nu}, k={k})")
-    if derivative:
-        # Rolle: between consecutive zeros of J_nu lies one zero of J_nu' and
-        # vice versa.  With the convention that excludes z=0 for nu=0, the
-        # derivative zeros sit above the function zeros instead of below.
-        lo, hi = (ref[:count], ref[1:]) if nu == 0 else (np.concatenate(([0.0], ref[:count - 1])), ref[:count])
-        viol = np.where((zeros <= lo) | (zeros >= hi))[0]
-        if len(viol):
-            k = int(viol[0]) + 1
-            raise RuntimeError(f"Bessel interlacing failure at (nu={nu}, k={k})")
-    return zeros
+def _bessel_sweep(x, first):
+    """Yield (nu, x, J_{nu-1}(x), J_nu(x)) on x[first[nu]:] for nu = 0 .. len(first) - 1.
+
+    Upward recurrence J_{nu+1} = (2 nu / x) J_nu - J_{nu-1} from J_{-1} = -J_1 and J_0.
+    It is stable while nu < x, so first must be nondecreasing and drop every x <= nu.
+    """
+    prev, cur, done = -j1(x), j0(x), 0
+    for nu, lo in enumerate(first):
+        x, prev, cur, done = x[lo - done:], prev[lo - done:], cur[lo - done:], lo
+        yield nu, x, prev, cur
+        prev, cur = cur, (2.0 * nu / x) * cur - prev
+
+
+def _bessel_brackets(x_end, nu_stop, derivative):
+    """(nu, a, signbit of f(a)), nu-major, for every grid cell [a, a + BESSEL_GRID_STEP]
+    above nu < nu_stop where f = J_nu (J_nu') changes sign."""
+    x = BESSEL_GRID_STEP * np.arange(1, math.ceil(x_end / BESSEL_GRID_STEP) + 2)
+    out = []
+    for nu, xs, prev, cur in _bessel_sweep(x, np.searchsorted(x, np.arange(nu_stop), side="right")):
+        s = np.signbit(prev - nu / xs * cur if derivative else cur)
+        i = np.flatnonzero(s[:-1] != s[1:])
+        out.append((np.full(i.size, nu), xs[i], s[i]))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def _raise_unless(ok, what, nu0=0, k0=1):
+    for nu, k in np.argwhere(~ok)[:1]:
+        raise RuntimeError(f"Bessel {what} failure at (nu={nu + nu0}, k={k + k0})")
+
+
+def _bessel_zeros(x_end, nu_stop, derivative):
+    """Z[nu, k] = (k+1)-th zero of J_nu (nonzero zero of J_nu'), inf-padded, every zero below
+    the grid end (> x_end) for nu < nu_stop.  Safeguarded Newton refines all brackets at
+    once; then AMOS residual, ordering and (J_nu) cross-order interlacing are checked."""
+    nu, a, sa = _bessel_brackets(x_end, nu_stop, derivative)
+    b, z = a + BESSEL_GRID_STEP, a + 0.5 * BESSEL_GRID_STEP
+    first = np.searchsorted(nu, np.arange(nu_stop + 1))
+    for _ in range(60):  # Newton takes ~7 steps, bisection alone < 50
+        prev, cur = np.empty_like(z), np.empty_like(z)
+        for n, _, p, c in _bessel_sweep(z, first[:-1]):
+            lo, hi = first[n], first[n + 1]
+            prev[lo:hi], cur[lo:hi] = p[:hi - lo], c[:hi - lo]
+        jp = prev - nu / z * cur  # J_nu', and J_nu'' below from Bessel's equation
+        f, df = (jp, -jp / z - (1.0 - (nu / z) ** 2) * cur) if derivative else (cur, jp)
+        left = np.signbit(f) == sa
+        a, b = np.where(left, z, a), np.where(left, b, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = z - f / df
+        # closed bracket: an open one would bounce converged points to the midpoint
+        step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+        moved, z = np.abs(step - z) > 4.0 * np.spacing(z), step
+        if not moved.any():
+            break
+    else:
+        raise RuntimeError("Bessel zero Newton iteration did not converge in 60 steps")
+    k = np.arange(z.size) - first[nu]
+    Z = np.full((nu_stop, k.max() + 2 if k.size else 1), np.inf)
+    Z[nu, k] = z
+    ok = np.ones(Z.shape, dtype=bool)
+    ok[nu, k] = np.abs(jvp(nu, z) if derivative else jv(nu, z)) <= 1e-9
+    _raise_unless(ok, "zero residual")
+    _raise_unless((Z[:, :-1] < Z[:, 1:]) | np.isinf(Z[:, 1:]), "ordering", 0, 2)
+    if not derivative:
+        _raise_unless((Z[:-1] < Z[1:]) | np.isinf(Z[1:]), "interlacing", 1)
+    return Z
 
 
 def disk_spectrum(radius, bc, lambda_max):
@@ -231,40 +276,24 @@ def disk_spectrum(radius, bc, lambda_max):
     bc = check_bc(bc)
     x_max = radius * math.sqrt(lambda_max)
     derivative = bc == NEUMANN
-    vals, blocks = [], []
+    Z = _bessel_zeros(x_max, math.ceil(x_max), derivative)
     if derivative:
-        vals.append(0.0)  # constant mode
-        blocks.append(0)
-    next_block = len(blocks)
-    prev_row = None
-    nu = 0
-    while True:
-        count = max(int((x_max - max(nu, 1)) / math.pi) + 3, 1)
-        zeros = _verified_bessel_zeros(nu, count, derivative)
-        while zeros[-1] < x_max:  # make sure the row covers the window
-            count *= 2
-            zeros = _verified_bessel_zeros(nu, count, derivative)
-        if prev_row is not None and not derivative:
-            # cross-order interlacing j_{nu,k} < j_{nu+1,k} (Rolle covers the derivative case)
-            k_common = min(len(prev_row), len(zeros))
-            viol = np.where(prev_row[:k_common] >= zeros[:k_common])[0]
-            if len(viol):
-                raise RuntimeError(f"Bessel interlacing failure at (nu={nu}, k={int(viol[0]) + 1})")
-        keep = zeros[zeros < x_max]
-        if len(keep) == 0:
-            break
-        mult = 1 if nu == 0 else 2
-        for z in keep:
-            lam = (z / radius) ** 2
-            vals.extend([lam] * mult)
-            blocks.extend([next_block] * mult)
-            next_block += 1
-        prev_row = zeros
-        nu += 1
-    order = np.argsort(np.asarray(vals), kind="stable")
-    ev = np.asarray(vals)[order]
-    blk = np.asarray(blocks)[order]
-    return Spectrum(ev, bc, lambda_max, Disk(radius).key(), exact=True, block_ids=blk)
+        # Rolle: j_{nu,k-1} < j'_{nu,k} < j_{nu,k} with j_{nu,0} = 0, or for nu = 0 (no zero
+        # z = 0) j_{0,k} < j'_{0,k} < j_{0,k+1}.  The reference reaches up to ~1.05 nu^(1/3)
+        # past a row's last J_nu' zero near the turning point.
+        ref = _bessel_zeros(x_max + 1.1 * x_max ** (1.0 / 3.0) + math.pi, Z.shape[0], False)
+        ref = np.pad(ref, ((0, 0), (1, Z.shape[1])), constant_values=((0, 0), (0.0, np.inf)))
+        ref[0, :-1] = ref[0, 1:]
+        lo, hi = ref[:, :Z.shape[1]], ref[:, 1:Z.shape[1] + 1]
+        _raise_unless((lo < Z) & (Z < hi) & (hi < np.inf) | np.isinf(Z), "interlacing")
+    nu, k = np.nonzero(Z < x_max)
+    mult = np.where(nu == 0, 1, 2)
+    vals = np.repeat((Z[nu, k] / radius) ** 2, mult)
+    blocks = np.repeat(np.arange(nu.size) + derivative, mult)
+    if derivative:  # constant mode
+        vals, blocks = np.concatenate(([0.0], vals)), np.concatenate(([0], blocks))
+    order = np.argsort(vals, kind="stable")
+    return Spectrum(vals[order], bc, lambda_max, Disk(radius).key(), exact=True, block_ids=blocks[order])
 
 
 def _count_below(A, shift):

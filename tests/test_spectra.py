@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros, jnp_zeros
 
+from weylab import spectra
 from weylab import (CapacityError, CertifiedRangeError, ConvexPolygon, Disk,
                     InsufficientResolutionError, Rectangle, Spectrum,
                     ToleranceExceededError, counting_function,
@@ -89,6 +91,58 @@ def test_disk_neumann_starts_at_zero():
     # (j'_{1,1})^2 with multiplicity two
     assert abs(spec.eigenvalues[1] - 3.3899577166718887269) < 1e-10
     assert spec.eigenvalues[1] == spec.eigenvalues[2]
+    # below (j'_{0,1})^2 = 14.68 the nu = 0 row is empty, the nu = 1, 2 rows are not
+    low = disk_spectrum(1.0, NEUMANN, 12.0).eigenvalues
+    assert len(low) == 5 and low[0] == 0.0 and low[1] == low[2] and low[3] == low[4]
+    assert np.allclose(low[1::2], [3.3899577166718887269, 9.3283632137463579072], rtol=1e-14)
+
+
+def _disk_reference(radius, bc, lam):
+    """Disk eigenvalues and block ids order by order from specfun's zeros (jn_zeros, jnp_zeros)."""
+    x_max = radius * math.sqrt(lam)
+    zeros_of = jnp_zeros if bc == NEUMANN else jn_zeros
+    vals, blocks = ([0.0], [0]) if bc == NEUMANN else ([], [])
+    block = len(blocks)
+    for nu in range(math.ceil(x_max)):
+        z = zeros_of(nu, int(x_max / math.pi) + 3)
+        assert z[-1] > x_max
+        mult = 1 if nu == 0 else 2
+        for zk in z[z < x_max]:
+            vals.extend([(zk / radius) ** 2] * mult)
+            blocks.extend([block] * mult)
+            block += 1
+    order = np.argsort(vals, kind="stable")
+    return np.asarray(vals)[order], np.asarray(blocks, dtype=int)[order]
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("radius", [1.0, 0.8])
+def test_disk_spectrum_matches_per_order_reference(bc, radius):
+    rng = np.random.default_rng(20261018)
+    for lam in (1e4, 10.0 ** rng.uniform(0.0, 4.0)):
+        want, want_blocks = _disk_reference(radius, bc, lam)
+        spec = disk_spectrum(radius, bc, lam)
+        assert len(spec) == len(want), (lam, len(spec), len(want))
+        assert np.array_equal(spec.block_ids, want_blocks), lam
+        assert np.allclose(spec.eigenvalues, want, rtol=1e-14, atol=0.0), lam
+
+
+@pytest.mark.parametrize("bc, corrupt_derivative",
+                         [(DIRICHLET, False), (NEUMANN, True), (NEUMANN, False)])
+def test_disk_spectrum_refuses_a_missed_zero(monkeypatch, bc, corrupt_derivative):
+    # drop the second zero of J_3 (or of J_3', or of the J_3 Rolle reference)
+    brackets = spectra._bessel_brackets
+
+    def drop_one(x_end, nu_stop, derivative):
+        out = brackets(x_end, nu_stop, derivative)
+        if derivative != corrupt_derivative:
+            return out
+        i = np.flatnonzero(out[0] == 3)[1]
+        return tuple(np.delete(col, i) for col in out)
+
+    monkeypatch.setattr(spectra, "_bessel_brackets", drop_one)
+    with pytest.raises(RuntimeError, match="interlacing"):
+        disk_spectrum(1.0, bc, 1e4)
 
 
 def test_disk_radius_scaling():
