@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.special import j0, j1, jv, jvp
 
 from .constants import DIRICHLET, NEUMANN, check_bc, lt_constant
@@ -25,6 +25,9 @@ MAX_EIGENVALUES = 5_000_000
 # Bessel-zero grid step: below the smallest gap (> 2.9) between consecutive zeros
 # of J_nu or of J_nu', and below every j'_{nu,1} - nu (> 0.8)
 BESSEL_GRID_STEP = 0.5
+
+# eigenpairs per shift-invert window of the FD solve
+FD_WINDOW_PAIRS = 75
 
 
 class CapacityError(RuntimeError):
@@ -276,12 +279,19 @@ def disk_spectrum(radius, bc, lambda_max):
     bc = check_bc(bc)
     x_max = radius * math.sqrt(lambda_max)
     derivative = bc == NEUMANN
+    # Rolle: j_{nu,k-1} < j'_{nu,k} < j_{nu,k} with j_{nu,0} = 0, or for nu = 0 (no zero
+    # z = 0) j_{0,k} < j'_{0,k} < j_{0,k+1}.  The reference reaches up to ~1.05 nu^(1/3)
+    # past a row's last J_nu' zero near the turning point.
+    x_ref = x_max + 1.1 * x_max ** (1.0 / 3.0) + math.pi
+    # a zero table up to x has ceil(x_max) rows of fewer than x/pi + 2 entries, more than
+    # the N ~ x_max^2 / 4 eigenvalues; refuse before allocating either
+    cells = math.ceil(x_max) * ((x_ref if derivative else x_max) / math.pi + 2.0)
+    if cells > MAX_EIGENVALUES:
+        raise CapacityError(f"disk at R^2 lambda = {x_max**2:.4g} needs ~{cells:.3g} Bessel-zero"
+                            f" table entries, above the cap {MAX_EIGENVALUES}")
     Z = _bessel_zeros(x_max, math.ceil(x_max), derivative)
     if derivative:
-        # Rolle: j_{nu,k-1} < j'_{nu,k} < j_{nu,k} with j_{nu,0} = 0, or for nu = 0 (no zero
-        # z = 0) j_{0,k} < j'_{0,k} < j_{0,k+1}.  The reference reaches up to ~1.05 nu^(1/3)
-        # past a row's last J_nu' zero near the turning point.
-        ref = _bessel_zeros(x_max + 1.1 * x_max ** (1.0 / 3.0) + math.pi, Z.shape[0], False)
+        ref = _bessel_zeros(x_ref, Z.shape[0], False)
         ref = np.pad(ref, ((0, 0), (1, Z.shape[1])), constant_values=((0, 0), (0.0, np.inf)))
         ref[0, :-1] = ref[0, 1:]
         lo, hi = ref[:, :Z.shape[1]], ref[:, 1:Z.shape[1] + 1]
@@ -296,22 +306,42 @@ def disk_spectrum(radius, bc, lambda_max):
     return Spectrum(vals[order], bc, lambda_max, Disk(radius).key(), exact=True, block_ids=blocks[order])
 
 
-def _count_below(A, shift):
-    """Eigenvalues of symmetric A below shift, by Sylvester's law of inertia: with diagonal
-    pivots and one symmetric permutation, the LU of A - shift*I is L D L^T with D = diag(U)."""
+def _ldlt(A, shift):
+    """Sparse LU of A - shift*I in symmetric mode: with diagonal pivots and one symmetric
+    permutation it is L D L^T with D = diag(U), so its inertia is that of A - shift*I."""
     lu = splu((A - shift * sparse.identity(A.shape[0], format="csr")).tocsc(),
               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError(f"inertia factorization at {shift} pivoted off the diagonal; count not certified")
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
+    return lu
+
+
+def _count_below(A, shift):
+    """Eigenvalues of symmetric A below shift, by Sylvester's law of inertia."""
+    return int(np.count_nonzero(_ldlt(A, shift).U.diagonal() < 0))
+
+
+def _gap_cut(w, resid, lo, hi, cut):
+    """The midpoint between consecutive sorted Ritz values w that lies in (lo, hi), beyond
+    every Ritz value's residual, and nearest to cut."""
+    mid = 0.5 * (w[1:] + w[:-1])
+    clear = [m for m in mid if lo < m < hi and np.all(np.abs(w - m) > resid)]
+    if not clear:
+        raise RuntimeError(f"FD window cut {cut} is ambiguous and no clear gap lies in ({lo}, {hi})")
+    return min(clear, key=lambda m: abs(m - cut))
 
 
 def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     """Every Dirichlet eigenvalue below lambda_max of the 5-point Laplacian on an h-aligned grid.
 
-    The inertia of A - lambda_max*I gives the count N; eigsh must then return
-    N + 1 orthonormal pairs with small residuals, exactly N of them below lambda_max.
+    The inertia of A - lambda_max*I gives the count N.  [0, lambda_max) is sliced into
+    ceil(N / FD_WINDOW_PAIRS) equal windows, each cut's count again from inertia.  Each
+    window runs one shift-invert eigsh at its centre, for its count c plus two pairs, on
+    the same kind of symmetric L D L^T that gives the counts.  Every pair must have a
+    small residual, each window must hold exactly c Ritz values, and all N vectors must
+    be orthonormal.  A Ritz value within its residual of an interior cut moves that cut
+    into a clear gap, which is recounted; a second ambiguity there raises.
     """
     if not isinstance(poly, ConvexPolygon):
         poly = ConvexPolygon(poly)
@@ -342,25 +372,51 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     num_eigs = _count_below(A, lambda_max)
     if n_pts < max(num_eigs, 3) + 2:
         raise InsufficientResolutionError(f"grid has {n_pts} interior points for N({lambda_max}) = {num_eigs}")
+    n_win = max(1, math.ceil(num_eigs / FD_WINDOW_PAIRS))
+    cuts = [lambda_max * j / n_win for j in range(n_win + 1)]
+    below = [0] + [_count_below(A, c) for c in cuts[1:-1]] + [num_eigs]
     # seeded start vector, so identical inputs give identical bytes; a constant
     # vector would be orthogonal to every odd eigenvector of a symmetric domain
     v0 = np.random.default_rng(0).standard_normal(n_pts)
-    w, v = eigsh(A, k=num_eigs + 1, sigma=0, which="LM", v0=v0)
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
     norm_a = 8.0 / h**2
-    resid = np.linalg.norm(A @ v - v * w[None, :], axis=0)
-    if np.any(resid > 1e-9 * norm_a):
-        worst = int(np.argmax(resid))
-        raise RuntimeError(f"FD eigenpair {worst} residual {resid[worst]:.3e} exceeds 1e-9*||A|| = {1e-9 * norm_a:.3e}")
+    vals, vecs = np.empty(num_eigs), np.empty((n_pts, num_eigs))
+    moved, j = set(), 0
+    while j < n_win:
+        lo, hi, count = cuts[j], cuts[j + 1], below[j + 1] - below[j]
+        if count < 0:
+            raise RuntimeError(f"inertia count at {hi} is below the inertia count at {lo}")
+        sigma = 0.5 * (lo + hi)
+        lu = _ldlt(A, sigma)
+        w, v = eigsh(A, k=min(count + 2, n_pts - 1), sigma=sigma, which="LM", v0=v0,
+                     OPinv=LinearOperator(A.shape, matvec=lu.solve, dtype=float))
+        del lu
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+        resid = np.linalg.norm(A @ v - v * w[None, :], axis=0)
+        if np.any(resid > 1e-9 * norm_a):
+            worst = int(np.argmax(resid))
+            raise RuntimeError(f"FD eigenpair {worst} residual {resid[worst]:.3e} exceeds 1e-9*||A|| = {1e-9 * norm_a:.3e}")
+        near = [i for i in (j, j + 1) if 0 < i < n_win and np.any(np.abs(w - cuts[i]) <= resid)]
+        if near:
+            i = near[0]
+            if i in moved:
+                raise RuntimeError(f"FD window cut {cuts[i]} stays ambiguous after recounting")
+            cuts[i] = _gap_cut(w, resid, cuts[i - 1], cuts[i + 1], cuts[i])
+            below[i] = _count_below(A, cuts[i])
+            moved.add(i)
+            j = i - 1
+            continue
+        inside = (w >= lo) & (w < hi)
+        if np.count_nonzero(inside) != count:
+            raise RuntimeError(f"eigsh finds {np.count_nonzero(inside)} eigenvalues in [{lo}, {hi}),"
+                               f" the inertia count {count}")
+        vals[below[j]:below[j + 1]], vecs[:, below[j]:below[j + 1]] = w[inside], v[:, inside]
+        j += 1
     # orthonormality rules out one eigenpair returned twice in place of another
-    gram = np.abs(v.T @ v - np.eye(num_eigs + 1)).max()
+    gram = np.abs(vecs.T @ vecs - np.eye(num_eigs)).max(initial=0.0)
     if gram > 1e-8:
         raise RuntimeError(f"FD eigenvectors are not orthonormal: max |V^T V - I| = {gram:.3e}")
-    below = int(np.count_nonzero(w < lambda_max))
-    if below != num_eigs:
-        raise RuntimeError(f"eigsh finds {below} eigenvalues below {lambda_max}, the inertia count {num_eigs}")
-    return Spectrum(w[:num_eigs], DIRICHLET, lambda_max, _polygon_key(poly), exact=False)
+    return Spectrum(vals, DIRICHLET, lambda_max, _polygon_key(poly), exact=False)
 
 
 def counting_function(spec, lam):

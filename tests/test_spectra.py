@@ -57,6 +57,24 @@ def test_capacity_guard():
     assert len(rectangle_spectrum(1e5, 1e-5, DIRICHLET, 1e9)) == 0
 
 
+def test_disk_capacity_guard_refuses_up_front(monkeypatch):
+    # with the cap at 1000 the unit disk at lambda = 1e4 (2456 Dirichlet eigenvalues) is
+    # refused, as the rectangle is, before any Bessel table is built
+    monkeypatch.setattr(spectra, "MAX_EIGENVALUES", 1000)
+    with pytest.raises(CapacityError):
+        rectangle_spectrum(1.0, 1.0, DIRICHLET, 3e4)
+
+    def no_table(*args):
+        raise AssertionError("Bessel zero table built before the capacity check")
+
+    monkeypatch.setattr(spectra, "_bessel_zeros", no_table)
+    for bc in (DIRICHLET, NEUMANN):
+        with pytest.raises(CapacityError):
+            disk_spectrum(1.0, bc, 1e4)
+    monkeypatch.undo()
+    assert len(disk_spectrum(1.0, DIRICHLET, 1e4)) == 2456
+
+
 def test_rectangle_lattice_is_complete_off_the_square():
     """Seeded draws of sides and lambda against a brute-force meshgrid enumeration."""
     rng = np.random.default_rng(20261018)
@@ -290,6 +308,103 @@ def test_fd_refuses_an_uncertified_count(monkeypatch):
     monkeypatch.setattr(spectra, "eigsh", ghost)
     with pytest.raises(RuntimeError, match="orthonormal"):
         polygon_dirichlet_spectrum_fd(sq, h, lam)
+
+
+SQUARE_H, SQUARE_LAMBDA = 1.0 / 50.0, 3000.0   # N = 242: four windows
+
+
+def test_fd_windows_match_the_closed_form(monkeypatch):
+    calls, inertia = [], spectra._count_below
+
+    def spy(A, shift):
+        calls.append((shift, inertia(A, shift)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectra, "_count_below", spy)
+    spec = polygon_dirichlet_spectrum_fd(ConvexPolygon.rectangle(1.0, 1.0), SQUARE_H, SQUARE_LAMBDA)
+    want = _square_fd_eigenvalues(SQUARE_H)
+    want = want[want < SQUARE_LAMBDA]
+    assert len(spec) == len(want) == 242
+    assert np.max(np.abs(spec.eigenvalues - want)) < 1e-9 * SQUARE_LAMBDA
+    # N at lambda_max, then one count per interior cut of four equal windows
+    assert [s for s, _ in calls] == [SQUARE_LAMBDA, 750.0, 1500.0, 2250.0]
+    assert [c for _, c in calls[1:]] == [int(np.count_nonzero(want < s)) for s in (750, 1500, 2250)]
+
+
+def test_fd_windows_refuse_an_uncertified_count(monkeypatch):
+    sq = ConvexPolygon.rectangle(1.0, 1.0)
+    inertia, solver, factor = spectra._count_below, spectra.eigsh, spectra.splu
+    # a miscount at one interior cut only: the two windows beside it disagree with eigsh
+    for off in (-1, 1):
+        monkeypatch.setattr(spectra, "_count_below", lambda A, shift, off=off:
+                            inertia(A, shift) + (off if shift == 1500.0 else 0))
+        with pytest.raises(RuntimeError, match="inertia count"):
+            polygon_dirichlet_spectrum_fd(sq, SQUARE_H, SQUARE_LAMBDA)
+    monkeypatch.undo()
+
+    class OffDiagonal:
+        perm_r, perm_c = np.array([1, 0]), np.array([0, 1])
+
+    calls = []
+
+    def off_diagonal_in_a_window(*args, **kwargs):   # the counts factor cleanly
+        calls.append(1)
+        return OffDiagonal() if len(calls) == 6 else factor(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "splu", off_diagonal_in_a_window)
+    with pytest.raises(RuntimeError, match="off the diagonal"):
+        polygon_dirichlet_spectrum_fd(sq, SQUARE_H, SQUARE_LAMBDA)
+    assert len(calls) == 6
+    monkeypatch.undo()
+
+    def ghost(A, k, sigma, **kwargs):   # in the window [750, 1500): a pair returned twice
+        w, v = solver(A, k, sigma=sigma, **kwargs)
+        if sigma == 1125.0:
+            i, j = np.argsort(np.abs(w - sigma))[:2]
+            w[j], v[:, j] = w[i], v[:, i]
+        return w, v
+
+    monkeypatch.setattr(spectra, "eigsh", ghost)
+    with pytest.raises(RuntimeError, match="orthonormal"):
+        polygon_dirichlet_spectrum_fd(sq, SQUARE_H, SQUARE_LAMBDA)
+
+
+@pytest.mark.parametrize("split", [0, 1, 2])
+def test_fd_cut_on_a_double_eigenvalue(monkeypatch, split):
+    # windows of 3 pairs put the first cut of [0, 3*mu) on the (1,2)/(2,1) pair mu; whatever
+    # the inertia at mu says (both, one or neither of the pair below it), the cut moves into
+    # a gap, is recounted, and every eigenvalue lands in its own window
+    sq = ConvexPolygon.rectangle(1.0, 1.0)
+    exact = _square_fd_eigenvalues(SQUARE_H)
+    mu = exact[1]
+    monkeypatch.setattr(spectra, "FD_WINDOW_PAIRS", 3)
+    calls, spy = [], spectra._count_below
+
+    def split_pair(A, shift):
+        c = spy(A, shift)
+        calls.append((shift, c))
+        return c - split if abs(shift - mu) <= 1e-12 * mu else c
+
+    monkeypatch.setattr(spectra, "_count_below", split_pair)
+    spec = polygon_dirichlet_spectrum_fd(sq, SQUARE_H, 3.0 * mu)
+    want = exact[exact < 3.0 * mu]
+    assert len(spec) == len(want) == 8
+    assert np.max(np.abs(spec.eigenvalues - want)) < 1e-9 * mu
+    # N, the counts at mu and 2*mu, then one recount at the moved cut
+    assert len(calls) == 4
+    cut, count = calls[3]     # in the gap below the pair or the gap above it
+    assert exact[0] < cut < exact[1] or exact[2] < cut < exact[3]
+    assert count == np.count_nonzero(exact < cut)
+
+
+def test_fd_cut_that_stays_ambiguous_raises(monkeypatch):
+    sq = ConvexPolygon.rectangle(1.0, 1.0)
+    mu = _square_fd_eigenvalues(SQUARE_H)[1]
+    monkeypatch.setattr(spectra, "FD_WINDOW_PAIRS", 3)
+    # a cut that does not move off the pair is ambiguous twice
+    monkeypatch.setattr(spectra, "_gap_cut", lambda w, resid, lo, hi, cut: cut)
+    with pytest.raises(RuntimeError, match="ambiguous"):
+        polygon_dirichlet_spectrum_fd(sq, SQUARE_H, 3.0 * mu)
 
 
 def test_pointwise_spectral_function_center_values():
