@@ -8,7 +8,6 @@ check computed spectra.  No spectrum is ever touched here.
 """
 
 import math
-from dataclasses import dataclass
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -27,18 +26,12 @@ def boundary_sign(bc):
     return -1.0 if check_bc(bc) == DIRICHLET else 1.0
 
 
-@dataclass(frozen=True)
-class SemiclassicalParams:
-    """Order/dimension pair (gamma, dim) for the semiclassical constants."""
-
-    gamma: float
-    dim: int
-
-    def __post_init__(self):
-        if not (self.gamma >= 0):
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {self.dim}")
+def _check_order(gamma, dim):
+    """Validate the order/dimension pair of the semiclassical constants."""
+    if not (gamma >= 0):
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if int(dim) != dim or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim}")
 
 
 def _lt(gamma, dim):
@@ -57,7 +50,7 @@ def lt_constant(gamma, dim):
 
     gamma >= 0 real, dim >= 1 integer.  L_{0,2} = 1/(4 pi), L_{0,1} = 1/pi.
     """
-    SemiclassicalParams(gamma, dim)  # validates
+    _check_order(gamma, dim)
     return _lt(gamma, dim)
 
 
@@ -95,7 +88,7 @@ def two_term_prediction(lam, gamma, dim, volume, perimeter, bc):
     sign = boundary_sign(bc)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    SemiclassicalParams(gamma, dim)
+    _check_order(gamma, dim)
     main = _lt(gamma, dim) * volume * lam ** (gamma + 0.5 * dim)
     surf = 0.25 * _lt(gamma, dim - 1) * perimeter * lam ** (gamma + 0.5 * (dim - 1))
     return main + sign * surf

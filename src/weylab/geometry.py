@@ -571,21 +571,3 @@ def random_convex_polygon(rng, max_points=10, scale=1.0):
         except ValueError:
             continue
     raise RuntimeError("failed to generate a random convex polygon")
-
-
-def clip_by_halfplane(poly, normal, offset):
-    """Intersection of the polygon with {x : normal . x <= offset}, or None."""
-    nrm = np.asarray(normal, dtype=float)
-    ln = np.hypot(*nrm)
-    if ln == 0:
-        raise ValueError("normal must be nonzero")
-    pts = _clip_halfplane(list(poly.vertices), nrm / ln, offset / ln)
-    if len(pts) < 3:
-        return None
-    arr = _sanitize_loop(pts, poly.scale)
-    if arr is None:
-        return None
-    try:
-        return ConvexPolygon(arr)
-    except ValueError:
-        return None

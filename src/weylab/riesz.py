@@ -4,16 +4,13 @@ The lift (1/Gamma(kappa)) * int_0^Lambda (Lambda-mu)^{kappa-1} f(mu) dmu of a
 tabulated interpolant is exactly a finite sum of plus-powers (Lambda-g_j)_+^kappa
 and (Lambda-g_j)_+^{kappa+1} anchored at the grid nodes, so it is evaluated
 as that sum and the kappa < 1 endpoint singularity costs nothing.  On top sit
-the semigroup law, the log-convexity interpolation certificate with its
-explicit constant, and the Aizenman-Lieb reduction of higher Riesz means to
-order-1 means.
+the semigroup law and the log-convexity interpolation certificate with its
+explicit constant.
 """
 
 import math
 
 import numpy as np
-
-from .spectra import riesz_mean
 
 PIECEWISE_CONSTANT = "piecewise-constant-left"
 PIECEWISE_LINEAR = "piecewise-linear"
@@ -148,32 +145,3 @@ def riesz_interpolation_certificate(f, sigma, gamma):
     rhs = interpolation_constant(gamma) * sup_f ** (1.0 - theta) * sup_g**theta
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
     return lhs, rhs, ratio
-
-
-def aizenman_lieb_check(spec, gamma, lam, tail=0.0):
-    """Both sides of the order-reduction identity R_gamma = g(g-1) int tau^{g-2} R_1(lam-tau) dtau.
-
-    The left side sums the spectrum directly; the right side integrates the
-    order-1 Riesz mean as a black box, exactly on the intervals where it is
-    linear in tau, so the comparison carries no quadrature error.
-    """
-    if not gamma > 1:
-        raise ValueError("gamma must be > 1")
-    if lam + tail > spec.complete_below:
-        raise ValueError(f"R1 not certified on [0, {lam + tail}] (threshold {spec.complete_below})")
-    lhs = riesz_mean(spec, lam, gamma)
-    ev = spec.eigenvalues[spec.eigenvalues < lam]
-    taus = np.unique(np.concatenate(([0.0, lam], lam - ev)))
-    taus = taus[(taus >= 0.0) & (taus <= lam)]
-    y = np.array([riesz_mean(spec, lam - t, 1.0) for t in taus])
-    ta, tb = taus[:-1], taus[1:]
-    ya, yb = y[:-1], y[1:]
-    width = tb - ta
-    good = width > 0
-    slope_b = np.zeros(len(width))
-    slope_b[good] = (ya[good] - yb[good]) / width[good]
-    a_coef = ya + slope_b * ta
-    g1 = gamma - 1.0
-    integral = np.sum(a_coef * (tb**g1 - ta**g1) / g1 - slope_b * (tb**gamma - ta**gamma) / gamma)
-    rhs = gamma * g1 * float(integral)
-    return lhs, rhs

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
-from scipy.special import beta as beta_function, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .constants import check_bc, lt_constant
 from .spectra import Rectangle, _mode_amplitudes
@@ -18,10 +18,8 @@ TAB_STEP = 1.0 / 256.0
 TAB_HALF_WIDTH = 512.0     # padded tabulation window; the kernel envelope is ~1e-30 out here
 FFT_SIZE = 2**20           # alias period FFT_SIZE * TAB_STEP = 4096 >> 2 * TAB_HALF_WIDTH
 WINDOW_HALF_WIDTH = 128.0  # pointwise hierarchy evaluations are restricted to this window
-EVAL_HALF_WIDTH = 40.0     # reporting window for suprema and majorant ratios
 MAX_HIERARCHY_K = 8
 STABILITY_TOL = 1e-9
-PSI_UNDERFLOW = 1e-280
 ENVELOPE_RATE = 1.66       # measured decay envelope phi(tau) <= SCALE exp(-RATE tau^POWER)
 ENVELOPE_POWER = 0.6
 ENVELOPE_SCALE = 16.0
@@ -51,8 +49,8 @@ class MollifierFamily:
     the grid, and for this compactly supported, infinitely flat profile its only
     error is the alias psi(tau + FFT_SIZE*TAB_STEP), far below roundoff for
     |tau| <= TAB_HALF_WIDTH (Trefethen & Weideman, SIAM Rev. 56, 2014).
-    Tabulations, antiderivative chains and majorant chains are built lazily and
-    shared by every hierarchy on the family.
+    The tabulation, its one cubic spline and the antiderivative chain of that
+    spline are built lazily and shared by every hierarchy on the family.
     """
 
     def __init__(self):
@@ -80,9 +78,6 @@ class MollifierFamily:
         self._half_moments = None
         self._a_window = []     # restricted k-fold antiderivatives of the phi spline
         self._a_last_full = None
-        self._psi_tab = None    # index k+1 <-> psi_k, starting at k = -1
-        self._psi_int = None
-        self._majorant_const = None
         self._hier_cache = {}
 
     # ---- direct evaluations -------------------------------------------------
@@ -143,17 +138,24 @@ class MollifierFamily:
             # clamp the (exact) even symmetry at 0
             self._spline = CubicSpline(self.tab_grid, self._phi_tab,
                                        bc_type=((1, 0.0), "not-a-knot"))
+            self._half_moments = self._spline_half_moments()
 
-    def _half_moment(self, j):
-        # integral of u^j phi(u) over the right half-line
-        self._ensure_tab()
-        if self._half_moments is None:
-            self._half_moments = {}
-        if j not in self._half_moments:
-            g = self.tab_grid
-            anti = CubicSpline(g, g**j * self._phi_tab).antiderivative()
-            self._half_moments[j] = float(anti(g[-1]))
-        return self._half_moments[j]
+    def _spline_half_moments(self):
+        # int_0^inf u^j S(u) du for every j <= MAX_HIERARCHY_K, S the phi spline:
+        # a 6-point Gauss rule per cubic piece is exact up to degree 3 + 8, so the
+        # chain constants A_k(0) and the moments I_k come from the very function
+        # the chain integrates.  One Gauss node at a time keeps the temporaries
+        # at one grid-sized array each.
+        c = self._spline.c
+        moments = np.zeros(MAX_HIERARCHY_K + 1)
+        for x, w in zip(*_gl(6)):
+            t = 0.5 * TAB_STEP * (x + 1.0)
+            p = 0.5 * TAB_STEP * w * (((c[0] * t + c[1]) * t + c[2]) * t + c[3])
+            u = self.tab_grid[:-1] + t
+            for j in range(moments.size):
+                moments[j] += np.sum(p)
+                p *= u
+        return moments
 
     def _ensure_chain(self, kmax):
         # right-half chain A_k with the left-tail integration constant
@@ -165,38 +167,9 @@ class MollifierFamily:
                 full = self._spline
             else:
                 full = self._a_last_full.antiderivative()
-                full.c[-1, :] += self._half_moment(k - 1) / math.factorial(k - 1)
+                full.c[-1, :] += self._half_moments[k - 1] / math.factorial(k - 1)
             self._a_window.append(_restrict(full, 0.0, WINDOW_HALF_WIDTH))
             self._a_last_full = full
-
-    def _ensure_psi(self, kmax):
-        self._ensure_tab()
-        if self._psi_tab is None:
-            self._psi_tab = [self._phi_tab, self._phi_tab]  # k = -1 and k = 0
-            self._psi_int = [1.0, 1.0]
-            self._majorant_const = [1.0]
-        g = self.tab_grid
-        while len(self._psi_tab) <= kmax + 1:
-            k = len(self._psi_tab) - 1
-            anti = CubicSpline(g, g * self._psi_tab[k - 1]).antiderivative()
-            tab = float(anti(g[-1])) - anti(g)
-            self._psi_tab.append(tab)
-            q = CubicSpline(g, tab).antiderivative()
-            self._psi_int.append(2.0 * float(q(g[-1])))  # psi_k is even
-            i1 = np.searchsorted(g, 1.0)
-            inf_near = float(np.min(tab[g <= 1.0]))
-            c_prev = self._majorant_const[k - 1]
-            self._majorant_const.append(
-                (tab[i1] + 2.0 * c_prev * self._psi_int[k]) / inf_near)
-
-    def psi_majorant(self, k):
-        """Tabulated values of psi_k on the full grid (k >= -1)."""
-        self._ensure_psi(max(k, 0))
-        return self._psi_tab[k + 1]
-
-    def majorant_constants(self, kmax):
-        self._ensure_psi(kmax)
-        return tuple(self._majorant_const[:kmax + 1])
 
     def stability_estimate(self, K):
         """Crude K-fold truncation bound env(T) (2T)^K / K! for the padded window.
@@ -217,15 +190,13 @@ def build_mollifier():
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Atoms on the positive half-line plus optional power background, odd-extended.
+    """Atoms on the positive half-line plus a point mass at 0, odd-extended.
 
-    atoms: tuple of (location > 0, weight); polynomial_part: tuple of (K_i >= 0,
-    nu_i > 0) densities nu_i K_i u^{nu_i - 1} du; K0 >= 0 is a point mass at 0.
+    atoms: tuple of (location > 0, weight); K0 >= 0 is a point mass at 0.
     The augmented measure must be nonnegative at every atom.
     """
 
     atoms: tuple = ()
-    polynomial_part: tuple = ()
     K0: float = 0.0
 
     def __post_init__(self):
@@ -240,12 +211,7 @@ class AtomicMeasure:
                 raise ValueError(f"augmented measure is negative at the atom {loc}")
         if self.K0 < 0:
             raise ValueError("K0 must be >= 0")
-        for big_k, nu in self.polynomial_part:
-            if big_k < 0 or not nu > 0:
-                raise ValueError("background terms need K_i >= 0 and nu_i > 0")
         object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
-        object.__setattr__(self, "polynomial_part",
-                           tuple((float(k), float(nu)) for k, nu in self.polynomial_part))
         object.__setattr__(self, "K0", float(self.K0))
 
     @property
@@ -258,24 +224,7 @@ class AtomicMeasure:
 
     @property
     def purely_atomic(self):
-        return not self.polynomial_part and self.K0 == 0.0
-
-
-class OddDistributionFunction:
-    """Odd, midpoint-regularized distribution function of an odd-extended measure."""
-
-    def __init__(self, measure):
-        self.measure = measure
-
-    def __call__(self, sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        mu = self.measure
-        out = 0.5 * mu.K0 * np.sign(sigma)
-        for s, w in mu.atoms:
-            out = out + 0.5 * w * (np.sign(sigma - s) + np.sign(sigma + s))
-        for big_k, nu in mu.polynomial_part:
-            out = out + big_k * np.sign(sigma) * np.abs(sigma) ** nu
-        return out
+        return self.K0 == 0.0
 
 
 class PhiHierarchy:
@@ -299,7 +248,6 @@ class PhiHierarchy:
                 f"requested K={K} beyond tabulation stability: estimated "
                 f"truncation {est:.3e} exceeds {STABILITY_TOL:g}")
         family._ensure_chain(K + 1)
-        family._ensure_psi(K)
         self.family = family
         self.eps = float(eps)
         self.K = K
@@ -368,7 +316,7 @@ class PhiHierarchy:
             if k % 2 == 1:
                 mom.append(0.0)  # odd integrands: exactly zero by parity
                 continue
-            val = 2.0 * fam._half_moment(k) / math.factorial(k)
+            val = 2.0 * fam._half_moments[k] / math.factorial(k)
             for j in range(0, k, 2):
                 val -= mom[j] * fam.chi_moment(k - j) * eps ** (k - j) / math.factorial(k - j)
             mom.append(val)
@@ -445,8 +393,6 @@ class PhiHierarchy:
 
     def conv_distribution(self, k, mu, sigma):
         """phi_{k,eps} * N_mu at sigma for an atomic measure (plus a point mass at 0)."""
-        if mu.polynomial_part:
-            raise ValueError("convolution formulas require a purely atomic measure")
         sigma = np.asarray(sigma, dtype=float)
         out = np.zeros(sigma.shape)
         ik = self.moments[k]
@@ -459,8 +405,6 @@ class PhiHierarchy:
 
     def conv_jump_measure(self, k, mu, sigma):
         """phi_{k,eps} * T_mu at sigma, T_mu the even reflection of the atom set."""
-        if mu.polynomial_part:
-            raise ValueError("convolution formulas require a purely atomic measure")
         sigma = np.asarray(sigma, dtype=float)
         out = np.zeros(sigma.shape)
         for s, w in mu.atoms:
@@ -470,38 +414,13 @@ class PhiHierarchy:
         return out
 
     def smoothed_distribution(self, mu, sigma):
-        """chi_eps * N_mu, including background terms by quadrature."""
+        """chi_eps * N_mu for the atoms and the point mass at 0."""
         sigma = np.asarray(sigma, dtype=float)
         out = np.zeros(sigma.shape)
         for s, w in mu.atoms:
             out = out + w * (self.chi_cdf(sigma - s) + self.chi_cdf(sigma + s) - 1.0)
         if mu.K0:
             out = out + mu.K0 * (self.chi_cdf(sigma) - 0.5)
-        if mu.polynomial_part:
-            fam, eps = self.family, self.eps
-            nodes, glw = fam._chi_nodes, fam._chi_glweights
-            dens = fam._chi_norm * np.exp(-1.0 / (1.0 - nodes**2))
-            flat = sigma.ravel()
-            acc = np.zeros(flat.shape)
-            for idx, sg in enumerate(flat):
-                # split the bump at the kink of |.|^nu when it falls inside
-                panels = [(-1.0, 1.0)]
-                if abs(sg) < eps:
-                    panels = [(-1.0, sg / eps), (sg / eps, 1.0)]
-                val = 0.0
-                for lo, hi in panels:
-                    half = 0.5 * (hi - lo)
-                    if half <= 0:
-                        continue
-                    v = lo + (nodes + 1.0) * half
-                    d = fam._chi_norm * np.exp(-1.0 / np.maximum(1.0 - v * v, 1e-300))
-                    u = sg - eps * v
-                    bg = np.zeros(v.shape)
-                    for big_k, nu in mu.polynomial_part:
-                        bg += big_k * np.sign(u) * np.abs(u) ** nu
-                    val += float(np.sum(glw * half * d * bg))
-                acc[idx] = val
-            out = out + acc.reshape(sigma.shape)
         return out
 
 
@@ -520,26 +439,6 @@ def build_phi_hierarchy(fam, eps, K):
     if key not in fam._hier_cache:
         fam._hier_cache[key] = PhiHierarchy(fam, eps, K)
     return fam._hier_cache[key]
-
-
-def majorant_check(h):
-    """Sup of |phi_{k,eps}| / psi_k over the reporting window, per level k.
-
-    Ratios are omitted wherever psi_k underflows (noted here; with the padded
-    tabulation this never happens inside the +-40 window).
-    """
-    fam = h.family
-    g = fam.tab_grid
-    sel = np.abs(g) <= EVAL_HALF_WIDTH
-    taus = g[sel]
-    out = []
-    for k in range(h.K + 1):
-        psi_vals = fam.psi_majorant(k)[sel]
-        phi_vals = h.phi_k(k, taus)
-        mask = psi_vals > PSI_UNDERFLOW
-        ratio = float(np.max(np.abs(phi_vals[mask]) / psi_vals[mask]))
-        out.append((k, ratio))
-    return out
 
 
 # ---- smoothed Riesz means ------------------------------------------------------
@@ -582,7 +481,7 @@ def _measure_breakpoints(mu, eps, tau):
         for p in (s - eps, s, s + eps):
             if 0.0 < p < tau:
                 pts.add(p)
-    if (mu.K0 or mu.polynomial_part) and 0.0 < eps < tau:
+    if mu.K0 and 0.0 < eps < tau:
         pts.add(eps)
     return sorted(pts)
 
@@ -602,21 +501,6 @@ def smoothed_riesz(mu, gamma, tau, eps, fam):
     tail_f = lambda s: (s / tau) * smooth_n(s)
     val += _jacobi_tail(tail_f, cut, tau, gamma, 64)
     return 2.0 * gamma / tau * val
-
-
-def unsmoothed_riesz(mu, gamma, tau):
-    """Closed-form R_mu^gamma(tau) for atoms, point mass at 0, and power background."""
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
-    total = 0.5 * mu.K0
-    for s, w in mu.atoms:
-        if s < tau:
-            total += w * (1.0 - (s / tau) ** 2) ** gamma
-    for big_k, nu in mu.polynomial_part:
-        total += big_k * tau**nu * gamma * beta_function(0.5 * nu + 1.0, gamma)
-    return total
 
 
 # ---- the iterated integration-by-parts identity ---------------------------------

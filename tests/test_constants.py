@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from weylab import (DIRICHLET, NEUMANN, SemiclassicalParams, boundary_sign, check_bc,
+from weylab import (DIRICHLET, NEUMANN, boundary_sign, check_bc,
                     corner_sum, default_envelope_alpha, error_envelope,
                     heat_polygon_error_bound, heat_polygon_prediction,
                     heat_two_term_prediction, lt_constant, one_term_prediction,
@@ -30,12 +30,14 @@ def test_lt_constant_monotone_in_dim():
 
 
 def test_semiclassical_params_validation():
-    with pytest.raises(ValueError):
-        SemiclassicalParams(-0.1, 2)
-    with pytest.raises(ValueError):
-        SemiclassicalParams(1.0, 0)
-    with pytest.raises(ValueError):
-        SemiclassicalParams(1.0, 2.5)
+    # both entry points refuse the same three bad (gamma, dim) pairs
+    cases = ((-0.1, 2, "gamma must be >= 0"), (1.0, 0, "dim must be an integer >= 1"),
+             (1.0, 2.5, "dim must be an integer >= 1"))
+    for gamma, dim, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            lt_constant(gamma, dim)
+        with pytest.raises(ValueError, match=msg):
+            two_term_prediction(100.0, gamma, dim, 1.0, 4.0, DIRICHLET)
     with pytest.raises(ValueError):
         lt_constant(-1.0, 2)
 

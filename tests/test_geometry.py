@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weylab import (ConvexPolygon, bishop_gromov_profile, chebyshev_center,
-                    clip_by_halfplane, corner_params, distance_level_volume, erode,
+                    corner_params, distance_level_volume, erode,
                     inner_parallel_perimeter, inradius, load_polygon,
                     minkowski_ball_area, polygon_disk_area, random_convex_polygon,
                     save_polygon, theta_omega)
@@ -189,16 +189,6 @@ def test_corner_params_regular_polygons():
         cp = corner_params(p)
         assert abs(cp.alpha - (n - 2) * math.pi / n) < 1e-12
         assert abs(cp.R - side / 4.0) < 1e-8
-
-
-def test_clip_by_halfplane():
-    half = clip_by_halfplane(SQ, [1.0, 0.0], 0.5)
-    assert abs(half.area - 0.5) < 1e-12
-    assert clip_by_halfplane(SQ, [1.0, 0.0], -0.1) is None
-    full = clip_by_halfplane(SQ, [1.0, 0.0], 2.0)
-    assert abs(full.area - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        clip_by_halfplane(SQ, [0.0, 0.0], 0.5)
 
 
 def test_random_polygon_determinism():

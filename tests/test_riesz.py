@@ -7,9 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from weylab import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, SampledFunction,
-                    aizenman_lieb_check, interpolation_constant, rectangle_spectrum,
-                    riesz_interpolation_certificate, riesz_lift, riesz_mean,
-                    semigroup_check, DIRICHLET)
+                    interpolation_constant, rectangle_spectrum,
+                    riesz_interpolation_certificate, riesz_lift, semigroup_check, DIRICHLET)
 
 
 def _random_sampled(rng, kind, n_lo=4, n_hi=40):
@@ -166,20 +165,3 @@ def test_interpolation_certificate_order_guard():
         riesz_interpolation_certificate(f, 0.8, 0.5)
     with pytest.raises(ValueError):
         riesz_interpolation_certificate(f, 0.0, 0.5)
-
-
-def test_aizenman_lieb_reduction():
-    spec = rectangle_spectrum(1.0, 1.0, DIRICHLET, 400.0)
-    for gamma in (1.5, 2.0, 3.0):
-        lhs, rhs = aizenman_lieb_check(spec, gamma, 350.0)
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), (gamma, lhs, rhs)
-    assert abs(aizenman_lieb_check(spec, 2.0, 350.0)[0]
-               - riesz_mean(spec, 350.0, 2.0)) == 0.0
-
-
-def test_aizenman_lieb_guards():
-    spec = rectangle_spectrum(1.0, 1.0, DIRICHLET, 100.0)
-    with pytest.raises(ValueError):
-        aizenman_lieb_check(spec, 1.0, 50.0)    # needs gamma > 1
-    with pytest.raises(ValueError):
-        aizenman_lieb_check(spec, 2.0, 150.0)   # above certified range

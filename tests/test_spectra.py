@@ -283,7 +283,8 @@ def test_fd_count_is_the_closed_form_count():
 def test_fd_refuses_an_uncertified_count(monkeypatch):
     from weylab import spectra
     sq = ConvexPolygon.rectangle(1.0, 1.0)
-    h, lam = 1.0 / 20.0, 100.0           # four eigenvalues below lam
+    # six eigenvalues below lam (19.70, 49.00 ×2, 78.31, 97.04 ×2)
+    h, lam = 1.0 / 20.0, 100.0
     inertia, solver = spectra._count_below, spectra.eigsh
     # an inertia count off by one either way disagrees with the eigensolver
     for off in (-1, 1):
