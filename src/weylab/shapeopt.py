@@ -92,6 +92,12 @@ def _rows(lam, rho_min, bc, s):
     return m, s * m * m
 
 
+def _row_data(lam, bc, s):
+    """Per-run m, s m^2 and ceil(lam / (2 s max(m, 1))) on the longest rows, rho = 0.05."""
+    m, sm2 = _rows(lam, ASPECT_RANGE[0], bc, s)
+    return m, sm2, np.ceil(lam / (2.0 * s * np.maximum(m, 1.0)))
+
+
 def rectangle_riesz_objective(rho, lam, gamma, bc, area=1.0):
     """Riesz mean sum of (lam - lambda_k)_+^gamma for the aspect-rho rectangle.
 
@@ -122,7 +128,7 @@ def rectangle_riesz_objective(rho, lam, gamma, bc, area=1.0):
     return float(np.sum((lam - s * (mm * mm * rho + n * n / rho)) ** gamma))
 
 
-def _slope_enclosure(p, q, lam, gamma, bc, s):
+def _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, s, rows):
     """Slope interval [lo, hi] and crossing sums (cp, cq, cmax) for R on [p, q].
 
     Each lattice term contributes w s (n^2/rho^2 - m^2) to dR/drho with w = gamma
@@ -132,35 +138,38 @@ def _slope_enclosure(p, q, lam, gamma, bc, s):
     terms (min lambda_mn < lam <= max lambda_mn on [p, q]) leave the slope sum:
     cp and cq are their sum at p and at q, cmax = sum (lam - min lambda_mn)^gamma
     bounds it on [p, q].  For gamma >= 1 the enclosure holds a.e. for every term
-    and the crossing sums are 0.  Row m holds terms below lam at both ends for
-    n <= n_in and somewhere in [p, q] for n <= n_sup.  At gamma = 1 the rows are
-    summed in closed form, otherwise term by term (_termwise_slopes, also the
-    closed form's reference).
+    and the crossing sums are 0.  top_p and top_q are the row tops at p and q on
+    their own rows; sums run over p's rows (rows = _row_data), and past q's last
+    row s m^2 q > lam, where _row_top gives exactly -1: top_q is padded with -1.
+    Row m holds terms below lam at both ends for n <= n_in and somewhere in [p, q]
+    for n <= n_sup.  At gamma = 1, with S(n) = sum_{j<=n} j^2, k = max(n_in, lo-1),
+    A = max(min(n_sup, floor(q m)), k), pos = max(k, ceil(p m) - 1), B = max(n_sup,
+    pos), the closed form is d_lo = -sum s m^2 (A - lo + 1) + s/q^2 sum S(A) and
+    d_hi = -sum s m^2 (k - lo + 1 + B - pos) + s/p^2 sum (S(k) + S(B) - S(pos)), in
+    integer-valued floats below 2^53.  Otherwise the rows are summed term by term
+    (_termwise_slopes, also the closed form's reference).
     """
-    m, sm2 = _rows(lam, p, bc, s)
-    top_p = _row_top(lam - sm2 * p, p, s)
-    top_q = _row_top(lam - sm2 * q, q, s)
+    m, sm2, dip = (r[:len(top_p)] for r in rows)
+    top_q = np.concatenate((top_q, np.full(len(top_p) - len(top_q), -1.0)))
     # lambda_mn has its interior minimum 2 s m n at rho = n/m: the largest n with
     # p m < n < q m and 2 s m n < lam can dip below lam only strictly inside
-    cand = np.minimum(np.ceil(q * m), np.ceil(lam / (2.0 * s * np.maximum(m, 1.0)))) - 1.0
+    cand = np.minimum(np.ceil(q * m), dip) - 1.0
     cand = np.where(cand > p * m, cand, -1.0)
     n_in = np.minimum(top_p, top_q)
     n_sup = np.maximum(np.maximum(top_p, top_q), cand)
     if gamma != 1:
         return _termwise_slopes(p, q, lam, gamma, bc, s, m, n_sup)
     lo = _first_index(bc)
-    c_in, s2_in = np.maximum(n_in - lo + 1.0, 0.0), _sq_sum(n_in)
-    d_lo = -sm2 * c_in + s / q**2 * s2_in
-    d_hi = -sm2 * c_in + s / p**2 * s2_in
     # crossing terms n_in < n <= n_sup have w in [0, 1]: the lower slope keeps
     # their negative part (n <= q m), the upper slope their positive part (n >= p m)
     k = np.maximum(n_in, lo - 1.0)
-    neg = np.minimum(n_sup, np.floor(q * m))
+    a = np.maximum(np.minimum(n_sup, np.floor(q * m)), k)
     pos = np.maximum(k, np.ceil(p * m) - 1.0)
-    d_lo += np.where(neg > k, -sm2 * (neg - k) + s / q**2 * (_sq_sum(neg) - _sq_sum(k)), 0.0)
-    d_hi += np.where(n_sup > pos,
-                     -sm2 * (n_sup - pos) + s / p**2 * (_sq_sum(n_sup) - _sq_sum(pos)), 0.0)
-    return float(np.sum(d_lo)), float(np.sum(d_hi)), 0.0, 0.0, 0.0
+    b = np.maximum(n_sup, pos)
+    s_a, s_k, s_b, s_pos = _sq_sum(np.array((a, k, b, pos))).sum(axis=1)
+    d_lo = -(sm2 @ (a - (lo - 1.0))) + s / q**2 * s_a
+    d_hi = -(sm2 @ (k - pos + b - (lo - 1.0))) + s / p**2 * (s_k + s_b - s_pos)
+    return float(d_lo), float(d_hi), 0.0, 0.0, 0.0
 
 
 def _termwise_slopes(p, q, lam, gamma, bc, s, m, n_sup):
@@ -199,29 +208,29 @@ def _interval_bound(p, q, fp, fq, slope_lo, slope_hi):
     return max(fp, fq, fp + slope_hi * x)
 
 
-def _rectangle_bound(p, q, fp, fq, lam, gamma, bc):
-    """Upper bound of sign R on [p, q] given fp = sign R(p) and fq = sign R(q).
+def _rectangle_bound(p, q, fp, fq, lam, gamma, bc, rows):
+    """Upper bound of sign R on [p, q] given samples (sign R, row tops) at p and q.
 
-    sign is +1 (Dirichlet, maximize) or -1 (Neumann, minimize).  The smooth
-    terms are bounded from their endpoint values and slope enclosure, the
-    crossing terms (gamma < 1) by their largest value above and by 0 below.
+    sign is +1 (Dirichlet, maximize) or -1 (Neumann, minimize).  The smooth terms
+    are bounded from their endpoint values and slope enclosure, the crossing terms
+    (gamma < 1) by their largest value above and by 0 below.
     """
     sign = 1.0 if bc == DIRICHLET else -1.0
-    d_lo, d_hi, cp, cq, cmax = _slope_enclosure(p, q, lam, gamma, bc, math.pi**2)
+    d_lo, d_hi, cp, cq, cmax = _slope_enclosure(p, q, fp[1], fq[1], lam, gamma, bc, math.pi**2, rows)
     slopes = (d_lo, d_hi) if sign > 0 else (-d_hi, -d_lo)
-    return (_interval_bound(p, q, fp - sign * cp, fq - sign * cq, *slopes)
+    return (_interval_bound(p, q, fp[0] - sign * cp, fq[0] - sign * cq, *slopes)
             + max(0.0, sign * cmax))
 
 
 def _branch_and_bound(f, bound, lo, hi, tol):
     """Certified maximization of f on [lo, hi] (Piyavskii-Shubert style).
 
-    bound(p, q, f(p), f(q)) bounds f above on [p, q]; intervals are bisected
-    best-bound first until the best bound is within tol * |best| of the best
-    sample.  Returns the certified relative gap.
+    f(x) is a sample (value, data); bound(p, q, f(p), f(q)) bounds the value on
+    [p, q] above.  Intervals are bisected best-bound first until the best bound
+    is within tol * |best| of the best value.  Returns the certified relative gap.
     """
     f_lo, f_hi = f(lo), f(hi)
-    best = max(f_lo, f_hi)
+    best = max(f_lo[0], f_hi[0])
     heap = [(-bound(lo, hi, f_lo, f_hi), lo, hi, f_lo, f_hi)]
     evals = 2
     while True:
@@ -233,7 +242,7 @@ def _branch_and_bound(f, bound, lo, hi, tol):
         c = 0.5 * (p + q)
         fc = f(c)
         evals += 1
-        best = max(best, fc)
+        best = max(best, fc[0])
         for a, b, fa, fb in ((p, c, fp, fc), (c, q, fc, fq)):
             heapq.heappush(heap, (-bound(a, b, fa, fb), a, b, fa, fb))
 
@@ -252,16 +261,17 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
         raise ValueError("lambda must be > 0")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    sign = 1.0 if bc == DIRICHLET else -1.0
+    sign, s = 1.0 if bc == DIRICHLET else -1.0, math.pi**2
+    rows = _row_data(lam, bc, s)
     trace = []
 
     def f(rho):
         val = rectangle_riesz_objective(rho, lam, gamma, bc)
         trace.append((float(rho), val))
-        return sign * val
+        return sign * val, _row_top(lam - _rows(lam, rho, bc, s)[1] * rho, rho, s)
 
     def bound(p, q, fp, fq):
-        return _rectangle_bound(p, q, fp, fq, lam, gamma, bc)
+        return _rectangle_bound(p, q, fp, fq, lam, gamma, bc, rows)
 
     gap = _branch_and_bound(f, bound, *ASPECT_RANGE, tol)
     objs = np.array([v for _, v in trace])

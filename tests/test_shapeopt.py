@@ -7,7 +7,9 @@ import pytest
 
 from weylab import (OptimizationRun, optimize_rectangle, rectangle_riesz_objective,
                     symmetry_trend, write_trace_csv, DIRICHLET, NEUMANN)
-from weylab.shapeopt import _rectangle_bound, _slope_enclosure, _termwise_slopes
+from weylab import shapeopt
+from weylab.shapeopt import (_rectangle_bound, _row_data, _row_top, _rows, _slope_enclosure,
+                             _termwise_slopes)
 from weylab import rectangle_spectrum, riesz_mean
 
 # Dirichlet gamma = 1 optima are critical points rho* = sqrt(sum n^2 / sum m^2) of
@@ -16,6 +18,11 @@ from weylab import rectangle_spectrum, riesz_mean
 # returned aspect to |rho - rho*| <= sqrt(2 g R / |R''|): about 1.2e-6 at
 # lambda = 100, 500, 1000 for the default g <= 1e-12.
 RHO_PREC = 2e-6
+
+
+def _tops(rho, lam, bc):
+    """Row tops at rho on its own rows, as the optimizer samples them."""
+    return _row_top(lam - _rows(lam, rho, bc, math.pi**2)[1] * rho, rho, math.pi**2)
 
 
 def _column_sum(lam, rhos):
@@ -75,7 +82,9 @@ def test_slope_enclosure_contains_the_difference_quotients():
         bc = DIRICHLET if rng.random() < 0.5 else NEUMANN
         p = float(rng.uniform(0.05, 0.95))
         q = min(1.0, p + float(10.0 ** rng.uniform(-4.0, -0.5)))
-        lo, hi, *crossing = _slope_enclosure(p, q, lam, gamma, bc, s)
+        rows = _row_data(lam, bc, s)
+        top_p, top_q = _tops(p, lam, bc), _tops(q, lam, bc)
+        lo, hi, *crossing = _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, s, rows)
         assert crossing == [0.0, 0.0, 0.0]
         xs = np.linspace(p, q, 201)
         ys = np.array([rectangle_riesz_objective(x, lam, gamma, bc) for x in xs])
@@ -89,6 +98,37 @@ def test_slope_enclosure_contains_the_difference_quotients():
             assert ref[2:] == (0.0, 0.0, 0.0)
             assert abs(ref[0] - lo) <= 1e-12 * (abs(lo) + abs(hi))
             assert abs(ref[1] - hi) <= 1e-12 * (abs(lo) + abs(hi))
+
+
+def test_padded_tops_are_the_tops_on_the_longer_rows():
+    # the bound on [p, q] reads p's and q's tops, each on its own rows, and the
+    # per-run row constants sliced to p's rows; q's tops padded with -1 must be
+    # bit for bit what _row_top gives on p's rows
+    rng = np.random.default_rng(31)
+    s = math.pi**2
+    for _ in range(200):
+        lam = float(10.0 ** rng.uniform(0.5, 6.0))
+        bc = DIRICHLET if rng.random() < 0.5 else NEUMANN
+        p, q = np.sort(rng.uniform(0.05, 1.0, 2))
+        m, sm2 = _rows(lam, p, bc, s)
+        top_p, top_q = _tops(p, lam, bc), _tops(q, lam, bc)
+        rows = _row_data(lam, bc, s)
+        assert np.array_equal(rows[0][:len(m)], m) and np.array_equal(rows[1][:len(m)], sm2)
+        assert len(top_p) == len(m)
+        padded = np.concatenate((top_q, np.full(len(top_p) - len(top_q), -1.0)))
+        assert np.array_equal(padded, _row_top(lam - sm2 * q, q, s))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+def test_row_tops_once_per_sampled_aspect(monkeypatch, gamma):
+    # each evaluation computes row tops twice: in the objective and in the
+    # row data that both neighbouring interval bounds share
+    calls = []
+    row_top = shapeopt._row_top
+    monkeypatch.setattr(shapeopt, "_row_top", lambda *a: calls.append(1) or row_top(*a))
+    run = optimize_rectangle(1e4, gamma, DIRICHLET)
+    assert run.certified_gap <= 1e-12
+    assert len(calls) <= 2 * len(run.optimizer_trace)
 
 
 def test_objective_guards():
@@ -182,7 +222,9 @@ def test_interval_bound_dominates_the_objective():
         q = min(1.0, p + float(10.0 ** rng.uniform(-4.0, -0.5)))
         xs = np.linspace(p, q, 201)
         ys = sign * np.array([rectangle_riesz_objective(x, lam, gamma, bc) for x in xs])
-        top = _rectangle_bound(p, q, ys[0], ys[-1], lam, gamma, bc)
+        rows = _row_data(lam, bc, math.pi**2)
+        top = _rectangle_bound(p, q, (ys[0], _tops(p, lam, bc)), (ys[-1], _tops(q, lam, bc)),
+                               lam, gamma, bc, rows)
         assert ys.max() <= top + 1e-12 * (np.abs(ys).max() + 1.0)
 
 

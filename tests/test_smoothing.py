@@ -73,10 +73,11 @@ def test_hierarchy_parity_is_structural():
 
 
 def test_antiderivative_chain_consistency():
-    # finite differences of Phi_k recover phi_k; keep the stencil off tau = 0,
-    # where the half-line integration constant has its ~1e-9 quadrature seam.
-    # The stencil amplifies cancellation roundoff of the tau^{k+1}/(k+1)! terms
-    # by 1/h, so the attainable accuracy degrades by about a decade per level.
+    # finite differences of Phi_k recover phi_k.  Phi_k is as smooth through
+    # tau = 0 as elsewhere, since its integration constants come from the spline
+    # the chain integrates.  The stencil amplifies cancellation roundoff of the
+    # tau^{k+1}/(k+1)! terms by 1/h, so the attainable accuracy degrades by up
+    # to a decade per level.
     taus = np.linspace(-10.0, 10.0, 100)
     h = 1e-5
     for k in range(HIER.K + 1):
