@@ -17,8 +17,8 @@ from .constants import (DIRICHLET, check_bc, corner_sum, error_envelope,
                         heat_polygon_error_bound, heat_polygon_prediction,
                         heat_two_term_prediction, lt_constant, one_term_prediction,
                         three_term_polygon_prediction, two_term_prediction)
-from .geometry import ConvexPolygon, bishop_gromov_profile, distance_level_volume, \
-    inradius, load_polygon, random_convex_polygon, theta_omega
+from .geometry import ConvexPolygon, bishop_gromov_profile, corner_params, \
+    distance_level_volume, inradius, load_polygon, random_convex_polygon, theta_omega
 from .shapeopt import optimize_rectangle, symmetry_trend, write_trace_csv
 from .smoothing import (AtomicMeasure, build_mollifier, build_phi_hierarchy,
                         iterated_identity_report, tauberian_order_check)
@@ -166,22 +166,15 @@ def cmd_heat_check(args):
     lam_max = 30.0 / float(ts[0])
     spec = _domain_spectrum(dom, args.bc, lam_max, args.grid_h)
     polygonal = geom["angles"] is not None and check_bc(args.bc) == DIRICHLET
+    if polygonal:
+        poly = dom if isinstance(dom, ConvexPolygon) else ConvexPolygon.rectangle(dom.a, dom.b)
+        alpha_min, big_r = corner_params(poly)
     rows = []
     for t in [float(t) for t in ts]:
         theta, tail = heat_trace(spec, t)
         r = {"t": t, "theta": theta, "tail_bound": tail,
              "two_term": heat_two_term_prediction(t, 2, geom["area"], geom["perimeter"], args.bc)}
         if polygonal:
-            verts = dom.vertices if isinstance(dom, ConvexPolygon) else None
-            if isinstance(dom, Rectangle):
-                big_r = 0.25 * min(dom.a, dom.b)
-                alpha_min = 0.5 * math.pi
-            else:
-                d = verts[:, None, :] - verts[None, :, :]
-                pair = np.sqrt((d**2).sum(-1))
-                np.fill_diagonal(pair, np.inf)
-                big_r = 0.25 * float(pair.min())
-                alpha_min = float(np.min(dom.angles))
             pred = heat_polygon_prediction(t, geom["area"], geom["perimeter"], geom["angles"])
             bound = heat_polygon_error_bound(t, geom["area"], len(geom["angles"]), alpha_min, big_r)
             r.update({"polygon_prediction": pred, "polygon_bound": bound,

@@ -143,21 +143,20 @@ def default_envelope_alpha(gamma):
     return 1.0 if gamma >= 1.0 else 0.9 * gamma
 
 
-def error_envelope(lam, gamma, perimeter, inradius, dim, bc, alpha=None):
+def error_envelope(lam, gamma, perimeter, inradius, dim, bc):
     """Order-only remainder envelope (unit constant) for the two-term expansion.
 
     Dirichlet:  Per * lam^{gamma+(d-1)/2} * (r_in sqrt(lam))^{-alpha/11}
     Neumann:    Per * lam^{gamma+(d-1)/2} * [ (1 + ln_+(r_in sqrt(lam)))^{-alpha*max(1,gamma)}
                                               + (r_in sqrt(lam))^{1-d} ]
-    with alpha defaulting to 1 for gamma >= 1 and 0.9*gamma for gamma < 1.
+    with alpha = 1 for gamma >= 1 and 0.9*gamma for gamma < 1.
     These have unit prefactor by convention: they encode the decay *order* of
     the remainder, not a certified constant.
     """
     bc = check_bc(bc)
     if not (lam > 0 and perimeter > 0 and inradius > 0):
         raise ValueError("need lam > 0, perimeter > 0, inradius > 0")
-    if alpha is None:
-        alpha = default_envelope_alpha(gamma)
+    alpha = default_envelope_alpha(gamma)
     scale = perimeter * lam ** (gamma + 0.5 * (dim - 1))
     x = inradius * math.sqrt(lam)
     if bc == DIRICHLET:

@@ -1,15 +1,16 @@
 """Convex polygon geometry: inradius, erosion, boundary layers, corner data.
 
-All quantities here are computed from closed forms or exact predicates:
-erosion by inward half-plane offsets, circle/polygon clipping via Green's
-theorem, the boundary-layer functional via the piecewise-quadratic erosion
-area, and the corner-separation radius via bisection on exact sector
-intersection tests.  The only iterative numerics are the Chebyshev-center
-linear program (HiGHS) and that bisection.
+All quantities here are computed from closed forms: erosion by inward
+half-plane offsets, circle/polygon clipping via Green's theorem, the
+boundary-layer functional via the piecewise-quadratic erosion area, and the
+corner-separation radius from the containment bound and half the closest
+vertex distance.  The only iterative numerics are the Chebyshev-center linear
+program (HiGHS).
 """
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -373,134 +374,11 @@ def bishop_gromov_profile(poly, a, radii):
 # corner wedges
 
 
-class _Sector:
-    """Circular sector: apex c, radius r, cone between unit dirs d1 -> d2 (CCW)."""
-
-    def __init__(self, c, d1, d2, r):
-        self.c = c
-        self.d1 = d1
-        self.d2 = d2
-        self.r = r
-
-    def contains_point(self, p, tol):
-        v = p - self.c
-        rho = math.hypot(*v)
-        if rho > self.r + tol:
-            return False
-        if rho <= tol:
-            return True
-        return _cross(self.d1, v) >= -tol * rho and _cross(v, self.d2) >= -tol * rho
-
-    def direction_in_cone(self, w, tol):
-        return _cross(self.d1, w) >= -tol and _cross(w, self.d2) >= -tol
-
-    def radial_segments(self):
-        return (
-            (self.c, self.c + self.r * self.d1),
-            (self.c, self.c + self.r * self.d2),
-        )
-
-
-def _segments_intersect(p1, q1, p2, q2, tol):
-    d1 = q1 - p1
-    d2 = q2 - p2
-    denom = _cross(d1, d2)
-    rhs = p2 - p1
-    if abs(denom) > tol * (np.hypot(*d1) * np.hypot(*d2) + 1e-300):
-        t = _cross(rhs, d2) / denom
-        u = _cross(rhs, d1) / denom
-        return -tol <= t <= 1 + tol and -tol <= u <= 1 + tol
-    # parallel: collinear overlap?
-    if abs(_cross(rhs, d1)) > tol * (np.hypot(*d1) * np.hypot(*rhs) + 1e-300):
-        return False
-    axis = d1 if np.dot(d1, d1) >= np.dot(d2, d2) else d2
-    lo1, hi1 = sorted((float(np.dot(axis, p1)), float(np.dot(axis, q1))))
-    lo2, hi2 = sorted((float(np.dot(axis, p2)), float(np.dot(axis, q2))))
-    return hi1 >= lo2 - tol and hi2 >= lo1 - tol
-
-
-def _segment_hits_arc(p, q, sector, tol):
-    d = q - p
-    a = float(np.dot(d, d))
-    if a < 1e-300:
-        return False
-    f = p - sector.c
-    b = 2.0 * float(np.dot(f, d))
-    c = float(np.dot(f, f)) - sector.r**2
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return False
-    sq = math.sqrt(disc)
-    for t in ((-b - sq) / (2 * a), (-b + sq) / (2 * a)):
-        if -tol <= t <= 1 + tol:
-            x = p + t * d
-            if sector.direction_in_cone(x - sector.c, tol):
-                return True
-    return False
-
-
-def _arcs_intersect(s1, s2, tol):
-    dvec = s2.c - s1.c
-    d = math.hypot(*dvec)
-    if d < tol:
-        return False  # concentric arcs of equal radius handled by other feature tests
-    if d > s1.r + s2.r + tol or d < abs(s1.r - s2.r) - tol:
-        return False
-    a = (s1.r**2 - s2.r**2 + d * d) / (2 * d)
-    h2 = s1.r**2 - a * a
-    h = math.sqrt(max(h2, 0.0))
-    base = s1.c + (a / d) * dvec
-    perp = np.array([-dvec[1], dvec[0]]) / d
-    for sign in (1.0, -1.0):
-        x = base + sign * h * perp
-        if s1.direction_in_cone(x - s1.c, tol) and s2.direction_in_cone(x - s2.c, tol):
-            return True
-    return False
-
-
-def _sectors_intersect(s1, s2, tol):
-    if s1.contains_point(s2.c, tol) or s2.contains_point(s1.c, tol):
-        return True
-    segs1 = s1.radial_segments()
-    segs2 = s2.radial_segments()
-    for a1, b1 in segs1:
-        for a2, b2 in segs2:
-            if _segments_intersect(a1, b1, a2, b2, tol):
-                return True
-    for a1, b1 in segs1:
-        if _segment_hits_arc(a1, b1, s2, tol):
-            return True
-    for a2, b2 in segs2:
-        if _segment_hits_arc(a2, b2, s1, tol):
-            return True
-    return _arcs_intersect(s1, s2, tol)
-
-
-class CornerParams:
+class CornerParams(NamedTuple):
     """Smallest interior angle and half the largest admissible wedge radius."""
 
-    def __init__(self, alpha, big_r, sup_radius):
-        self.alpha = alpha
-        self.R = big_r
-        self.sup_radius = sup_radius
-
-    def __iter__(self):
-        return iter((self.alpha, self.R))
-
-    def __repr__(self):
-        return f"CornerParams(alpha={self.alpha!r}, R={self.R!r})"
-
-
-def _wedge_sectors(poly, r):
-    v = poly.vertices
-    out = []
-    for i in range(poly.n):
-        d1 = v[(i + 1) % poly.n] - v[i]
-        d2 = v[i - 1] - v[i]
-        d1 = d1 / np.hypot(*d1)
-        d2 = d2 / np.hypot(*d2)
-        out.append(_Sector(v[i], d1, d2, r))
-    return out
+    alpha: float
+    R: float
 
 
 def _containment_sup(poly):
@@ -511,13 +389,16 @@ def _containment_sup(poly):
     the functional, so containment in each edge half-plane gives an explicit
     bound (b_j - n_j . v_i) / m_ij.
     """
-    sectors = _wedge_sectors(poly, 1.0)
+    unit = poly._edges / poly._lengths[:, None]
     sup = np.inf
-    for i, sec in enumerate(sectors):
+    for i in range(poly.n):
+        # the wedge at v_i spans the cone from the outgoing edge d1 to the
+        # reversed incoming edge d2, counterclockwise
+        d1, d2 = unit[i], -unit[i - 1]
         for j in range(poly.n):
             nrm = poly.normals[j]
-            m = max(0.0, float(np.dot(nrm, sec.d1)), float(np.dot(nrm, sec.d2)))
-            if sec.direction_in_cone(nrm, 0.0):
+            m = max(0.0, float(np.dot(nrm, d1)), float(np.dot(nrm, d2)))
+            if _cross(d1, nrm) >= 0.0 and _cross(nrm, d2) >= 0.0:
                 m = 1.0
             if m > 1e-14:
                 gap = poly.offsets[j] - float(np.dot(nrm, poly.vertices[i]))
@@ -527,31 +408,20 @@ def _containment_sup(poly):
 
 def corner_params(poly):
     """Smallest interior angle alpha and R = sup{r : wedges W_i(r) pairwise disjoint
-    and contained in the polygon} / 2."""
-    alpha = float(np.min(poly.angles))
-    hi = _containment_sup(poly)
-    tol = 1e-13 * max(poly.scale, 1.0)
+    and contained in the polygon} / 2, in closed form.
 
-    def disjoint(r):
-        secs = _wedge_sectors(poly, r)
-        for i in range(len(secs)):
-            for j in range(i + 1, len(secs)):
-                if _sectors_intersect(secs[i], secs[j], tol):
-                    return False
-        return True
-
-    if disjoint(hi):
-        sup = hi
-    else:
-        lo, up = 0.0, hi
-        for _ in range(64):
-            mid = 0.5 * (lo + up)
-            if disjoint(mid):
-                lo = mid
-            else:
-                up = mid
-        sup = lo
-    return CornerParams(alpha, 0.5 * sup, sup)
+    Lemma: for i != j the closed wedges W_i(r) and W_j(r) meet if and only if
+    r >= |v_i - v_j| / 2.  If: the polygon lies in v_i + cone_i, so v_j - v_i is
+    in cone_i, and symmetrically at v_j; the midpoint (v_i + v_j) / 2 is at
+    distance |v_i - v_j| / 2 from both apexes and in both cones.  Only if: below
+    that radius the two discs are already disjoint.  Hence the supremum is
+    min(containment radius, min_{i != j} |v_i - v_j| / 2).
+    """
+    v = poly.vertices
+    pair = np.sqrt(((v[:, None] - v[None]) ** 2).sum(-1))
+    np.fill_diagonal(pair, np.inf)
+    sup = min(_containment_sup(poly), 0.5 * float(pair.min()))
+    return CornerParams(float(np.min(poly.angles)), 0.5 * sup)
 
 
 def random_convex_polygon(rng, max_points=10, scale=1.0):

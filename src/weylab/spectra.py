@@ -437,7 +437,7 @@ def riesz_mean(spec, lam, gamma):
     return float(np.sum(d**gamma))
 
 
-def heat_trace(spec, t, volume=None, tol=None):
+def heat_trace(spec, t, tol=None):
     """Heat trace over the certified part of the spectrum plus a tail bound.
 
     The omitted tail sum_{lambda_n >= complete_below} e^{-t lambda_n} is bounded
@@ -446,8 +446,7 @@ def heat_trace(spec, t, volume=None, tol=None):
     """
     if not t > 0:
         raise ValueError("t must be > 0")
-    if volume is None:
-        volume = domain_area(spec.domain)
+    volume = domain_area(spec.domain)
     ev = spec.eigenvalues[spec.eigenvalues < spec.complete_below]
     value = float(np.sum(np.exp(-t * ev)))
     x = t * spec.complete_below

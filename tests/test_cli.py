@@ -11,7 +11,8 @@ import pytest
 
 import weylab
 from weylab.cli import main, parse_domain, parse_grid
-from weylab.geometry import ConvexPolygon, save_polygon
+from weylab.constants import heat_polygon_error_bound
+from weylab.geometry import ConvexPolygon, corner_params, save_polygon
 from weylab.spectra import Disk, Rectangle, Spectrum
 
 
@@ -119,6 +120,29 @@ def test_heat_check_rectangle(capsys):
         assert "polygon_prediction" in r and "within_bound" in r
         assert abs(r["deviation"]) <= 10.0 * r["polygon_bound"] + r["tail_bound"]
     assert rep["results"]["all_within_bound"] is True
+
+
+def test_heat_check_radius_comes_from_corner_params(tmp_path, capsys):
+    # one source for R: the unit square gives the same bound as a rectangle
+    # and as a polygon, and where containment binds (a flat triangle, whose
+    # closest vertices are far apart) the report uses the theorem's radius
+    grid = ["--t", "0.01:0.04:4"]
+    square = tmp_path / "square.json"
+    save_polygon(ConvexPolygon.rectangle(1.0, 1.0), str(square))
+    _, rect = run_cli(capsys, ["heat-check", "--domain", "unit-square", *grid])
+    _, poly = run_cli(capsys, ["heat-check", "--domain", f"polygon:{square}",
+                               "--grid-h", "0.02", *grid])
+    assert ([r["polygon_bound"] for r in rect["results"]["rows"]]
+            == [r["polygon_bound"] for r in poly["results"]["rows"]])
+    tri = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 0.15]])
+    path = tmp_path / "triangle.json"
+    save_polygon(tri, str(path))
+    code, rep = run_cli(capsys, ["heat-check", "--domain", f"polygon:{path}",
+                                 "--grid-h", "0.02", *grid])
+    assert code == 0
+    alpha, big_r = corner_params(tri)
+    for r in rep["results"]["rows"]:
+        assert r["polygon_bound"] == heat_polygon_error_bound(r["t"], tri.area, 3, alpha, big_r)
 
 
 def test_heat_check_disk(capsys):

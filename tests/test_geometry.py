@@ -12,6 +12,8 @@ from weylab import (ConvexPolygon, bishop_gromov_profile, chebyshev_center,
                     save_polygon, theta_omega)
 
 SQ = ConvexPolygon.rectangle(1.0, 1.0)
+# containment, not disjointness, bounds this triangle's corner radius
+FLAT = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 0.15]])
 
 
 def test_polygon_construction_basics():
@@ -176,7 +178,7 @@ def test_corner_params_square():
     cp = corner_params(SQ)
     assert abs(cp.alpha - math.pi / 2) < 1e-15
     # adjacent wedges meet along a unit edge at radius 1/2, so R = 1/4
-    assert abs(cp.R - 0.25) < 1e-9
+    assert cp.R == 0.25
     alpha, big_r = cp
     assert (alpha, big_r) == (cp.alpha, cp.R)
 
@@ -188,7 +190,70 @@ def test_corner_params_regular_polygons():
         side = float(np.hypot(*(p.vertices[1] - p.vertices[0])))
         cp = corner_params(p)
         assert abs(cp.alpha - (n - 2) * math.pi / n) < 1e-12
-        assert abs(cp.R - side / 4.0) < 1e-8
+        assert abs(cp.R - side / 4.0) < 1e-15
+
+
+def _wedge_arcs(poly, r, samples=2001):
+    """Points on the arc of every corner wedge W_i(r), from the outgoing edge
+    counterclockwise through the interior angle."""
+    v = poly.vertices
+    arcs = []
+    for i in range(poly.n):
+        d1 = v[(i + 1) % poly.n] - v[i]
+        d1 = d1 / np.hypot(*d1)
+        perp = np.array([-d1[1], d1[0]])
+        phi = np.linspace(0.0, poly.angles[i], samples)[:, None]
+        arcs.append(v[i] + r * (np.cos(phi) * d1 + np.sin(phi) * perp))
+    return arcs
+
+
+def _in_closed_sector(poly, i, point, r, rel=1e-12):
+    v = poly.vertices
+    w = np.asarray(point) - v[i]
+    rho = float(np.hypot(*w))
+    if rho > r:
+        return False
+    d1 = v[(i + 1) % poly.n] - v[i]
+    d2 = v[i - 1] - v[i]
+    tol = rel * rho * max(np.hypot(*d1), np.hypot(*d2))
+    return d1[0] * w[1] - d1[1] * w[0] >= -tol and w[0] * d2[1] - w[1] * d2[0] >= -tol
+
+
+@pytest.mark.parametrize("case", ["random", "regular", "triangle"])
+def test_corner_radius_against_sampled_wedges(case):
+    # independent route: sample the wedge arcs and test the disc pairs
+    # directly, just below and just above the supremum 2R
+    if case == "random":
+        rng = np.random.default_rng(20261018)
+        polys = [random_convex_polygon(rng) for _ in range(40)]
+    elif case == "regular":
+        polys = [ConvexPolygon.regular(n) for n in range(3, 9)]
+    else:
+        polys = [FLAT]
+    for p in polys:
+        sup = 2.0 * corner_params(p).R
+        tol = 1e-12 * p.scale
+        pair = np.hypot(*(p.vertices[:, None] - p.vertices[None]).transpose(2, 0, 1))
+        np.fill_diagonal(pair, np.inf)
+
+        def arcs_inside(r):
+            return all(np.all(p.normals @ pts.T <= p.offsets[:, None] + tol)
+                       for pts in _wedge_arcs(p, r))
+
+        below = (1.0 - 1e-9) * sup
+        assert arcs_inside(below)
+        assert np.all(pair > 2.0 * below)
+        above = (1.0 + 1e-6) * sup
+        i, j = np.unravel_index(np.argmin(pair), pair.shape)
+        mid = 0.5 * (p.vertices[i] + p.vertices[j])
+        assert (not arcs_inside(above)
+                or (_in_closed_sector(p, i, mid, above) and _in_closed_sector(p, j, mid, above)))
+
+
+def test_corner_radius_where_containment_binds():
+    # the apex wedge of a flat triangle reaches the base at r = 0.15, well
+    # before any two wedges meet (half the shortest side is 0.26)
+    assert abs(corner_params(FLAT).R - 0.075) <= 1e-15
 
 
 def test_random_polygon_determinism():
