@@ -16,6 +16,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+RANDOM_POLYGON_MAX_POINTS = 10
+
 
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
@@ -424,10 +426,10 @@ def corner_params(poly):
     return CornerParams(float(np.min(poly.angles)), 0.5 * sup)
 
 
-def random_convex_polygon(rng, max_points=10, scale=1.0):
+def random_convex_polygon(rng, scale=1.0):
     """Random strictly convex polygon (hull of uniform points), for test sweeps."""
     for _ in range(100):
-        k = int(rng.integers(4, max_points + 1))
+        k = int(rng.integers(4, RANDOM_POLYGON_MAX_POINTS + 1))
         pts = rng.random((k, 2)) * scale
         try:
             hull = ConvexHull(pts)

@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import roots_jacobi
 
 from .constants import check_bc, lt_constant
-from .spectra import Rectangle, _mode_amplitudes
+from .spectra import _mode_amplitudes
 
 GEVREY_POWER = 1.5         # steepness of the spectral-profile bump (frozen by a decay scan)
 GEVREY_SCALE = 4.0
@@ -19,6 +19,10 @@ TAB_HALF_WIDTH = 512.0     # padded tabulation window; the kernel envelope is ~1
 FFT_SIZE = 2**20           # alias period FFT_SIZE * TAB_STEP = 4096 >> 2 * TAB_HALF_WIDTH
 WINDOW_HALF_WIDTH = 128.0  # pointwise hierarchy evaluations are restricted to this window
 MAX_HIERARCHY_K = 8
+QUAD_RTOL = 1e-10          # adaptive Gauss-Legendre: a panel is accepted once
+QUAD_ATOL = 1e-13          # |G48 - G24| <= max(QUAD_ATOL, QUAD_RTOL |G48|) ...
+QUAD_MAX_DEPTH = 26        # ... or at this bisection depth
+QUAD_TOL = 1e-8            # largest accepted total quadrature error estimate
 STABILITY_TOL = 1e-9
 ENVELOPE_RATE = 1.66       # measured decay envelope phi(tau) <= SCALE exp(-RATE tau^POWER)
 ENVELOPE_POWER = 0.6
@@ -30,12 +34,22 @@ def _gl(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _restrict(ppoly, lo, hi):
-    """Slice a PPoly to the breakpoint range [lo, hi] (coefficients are local)."""
-    x = ppoly.x
-    i0 = max(0, np.searchsorted(x, lo, side="right") - 1)
-    i1 = min(len(x) - 1, np.searchsorted(x, hi, side="left"))
-    return PPoly(ppoly.c[:, i0:i1], x[i0:i1 + 1])
+def _spline_half_moments(spline):
+    # int_0^inf u^j S(u) du for every j <= MAX_HIERARCHY_K, S the phi spline:
+    # a 6-point Gauss rule per cubic piece is exact up to degree 3 + 8, so the
+    # chain constants A_k(0) and the moments I_k come from the very function
+    # the chain integrates.  One Gauss node at a time keeps the temporaries
+    # at one grid-sized array each.
+    c = spline.c
+    moments = np.zeros(MAX_HIERARCHY_K + 1)
+    for x, w in zip(*_gl(6)):
+        t = 0.5 * TAB_STEP * (x + 1.0)
+        p = 0.5 * TAB_STEP * w * (((c[0] * t + c[1]) * t + c[2]) * t + c[3])
+        u = spline.x[:-1] + t
+        for j in range(moments.size):
+            moments[j] += np.sum(p)
+            p *= u
+    return moments
 
 
 class MollifierFamily:
@@ -49,8 +63,10 @@ class MollifierFamily:
     the grid, and for this compactly supported, infinitely flat profile its only
     error is the alias psi(tau + FFT_SIZE*TAB_STEP), far below roundoff for
     |tau| <= TAB_HALF_WIDTH (Trefethen & Weideman, SIAM Rev. 56, 2014).
-    The tabulation, its one cubic spline and the antiderivative chain of that
-    spline are built lazily and shared by every hierarchy on the family.
+    The constructor builds everything in one pass: the tabulation, its one cubic
+    spline, the spline's half-line moments and the antiderivative chain
+    A_0 ... A_{MAX_HIERARCHY_K+1} of the spline on [0, WINDOW_HALF_WIDTH], which
+    every hierarchy on the family shares.
     """
 
     def __init__(self):
@@ -73,12 +89,26 @@ class MollifierFamily:
         # so evenness/oddness of the hierarchy is structural, not approximate
         n_half = int(round(TAB_HALF_WIDTH / TAB_STEP))
         self.tab_grid = np.arange(n_half + 1) * TAB_STEP
-        self._phi_tab = None
-        self._spline = None
-        self._half_moments = None
-        self._a_window = []     # restricted k-fold antiderivatives of the phi spline
-        self._a_last_full = None
-        self._hier_cache = {}
+        # the same trapezoid sum at every grid point: Re sum_k c_k e^{-2pi i jk/N}
+        padded = np.zeros(FFT_SIZE)
+        padded[:self._cos_coef.size] = self._cos_coef
+        psi_tab = np.fft.rfft(padded).real[:self.tab_grid.size]
+        self._phi_tab = psi_tab * psi_tab
+        # clamp the (exact) even symmetry at 0
+        spline = CubicSpline(self.tab_grid, self._phi_tab, bc_type=((1, 0.0), "not-a-knot"))
+        self._half_moments = _spline_half_moments(spline)
+        # right-half chain A_k with the left-tail integration constant
+        # A_k(0) = int_0^inf u^{k-1} phi(u) du / (k-1)! restored exactly.  The
+        # window starts at the grid's left end, where an antiderivative's
+        # constants start accumulating, so integrating the windowed spline gives
+        # the window of the full-range chain piece for piece.
+        n_win = int(round(WINDOW_HALF_WIDTH / TAB_STEP))
+        level = PPoly(spline.c[:, :n_win], spline.x[:n_win + 1])
+        self._a_window = [level]
+        for k in range(1, MAX_HIERARCHY_K + 2):
+            level = level.antiderivative()
+            level.c[-1, :] += self._half_moments[k - 1] / math.factorial(k - 1)
+            self._a_window.append(level)
 
     # ---- direct evaluations -------------------------------------------------
 
@@ -96,15 +126,6 @@ class MollifierFamily:
         """The band-limited kernel phi = psi^2 evaluated from the quadrature rule."""
         return self.psi(tau) ** 2
 
-    def chi(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape)
-        inside = np.abs(tau) < 1.0
-        if np.any(inside):
-            u = tau[inside]
-            out[inside] = self._chi_norm * np.exp(-1.0 / (1.0 - u * u))
-        return out
-
     def chi_moment(self, k):
         """k-th moment of the unit-scale bump; odd moments vanish by symmetry."""
         if k % 2 == 1:
@@ -118,58 +139,12 @@ class MollifierFamily:
         The trapezoid rule on the padded uniform grid is spectrally accurate here:
         the integrand and all its derivatives vanish at the window ends.
         """
-        self._ensure_tab()
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         out = np.empty(xi.size)
         for i, s in enumerate(xi.ravel()):
             even_sum = 2.0 * float(np.cos(s * self.tab_grid) @ self._phi_tab)
             out[i] = TAB_STEP * (even_sum - self._phi_tab[0])
         return out.reshape(xi.shape)
-
-    # ---- lazy tabulations ---------------------------------------------------
-
-    def _ensure_tab(self):
-        if self._phi_tab is None:
-            # the same trapezoid sum at every grid point: Re sum_k c_k e^{-2pi i jk/N}
-            padded = np.zeros(FFT_SIZE)
-            padded[:self._cos_coef.size] = self._cos_coef
-            psi_tab = np.fft.rfft(padded).real[:self.tab_grid.size]
-            self._phi_tab = psi_tab * psi_tab
-            # clamp the (exact) even symmetry at 0
-            self._spline = CubicSpline(self.tab_grid, self._phi_tab,
-                                       bc_type=((1, 0.0), "not-a-knot"))
-            self._half_moments = self._spline_half_moments()
-
-    def _spline_half_moments(self):
-        # int_0^inf u^j S(u) du for every j <= MAX_HIERARCHY_K, S the phi spline:
-        # a 6-point Gauss rule per cubic piece is exact up to degree 3 + 8, so the
-        # chain constants A_k(0) and the moments I_k come from the very function
-        # the chain integrates.  One Gauss node at a time keeps the temporaries
-        # at one grid-sized array each.
-        c = self._spline.c
-        moments = np.zeros(MAX_HIERARCHY_K + 1)
-        for x, w in zip(*_gl(6)):
-            t = 0.5 * TAB_STEP * (x + 1.0)
-            p = 0.5 * TAB_STEP * w * (((c[0] * t + c[1]) * t + c[2]) * t + c[3])
-            u = self.tab_grid[:-1] + t
-            for j in range(moments.size):
-                moments[j] += np.sum(p)
-                p *= u
-        return moments
-
-    def _ensure_chain(self, kmax):
-        # right-half chain A_k with the left-tail integration constant
-        # A_k(0) = int_0^inf u^{k-1} phi(u) du / (k-1)! restored exactly
-        self._ensure_tab()
-        while len(self._a_window) <= kmax:
-            k = len(self._a_window)
-            if k == 0:
-                full = self._spline
-            else:
-                full = self._a_last_full.antiderivative()
-                full.c[-1, :] += self._half_moments[k - 1] / math.factorial(k - 1)
-            self._a_window.append(_restrict(full, 0.0, WINDOW_HALF_WIDTH))
-            self._a_last_full = full
 
     def stability_estimate(self, K):
         """Crude K-fold truncation bound env(T) (2T)^K / K! for the padded window.
@@ -215,14 +190,6 @@ class AtomicMeasure:
         object.__setattr__(self, "K0", float(self.K0))
 
     @property
-    def locations(self):
-        return np.array([s for s, _ in self.atoms])
-
-    @property
-    def weights(self):
-        return np.array([w for _, w in self.atoms])
-
-    @property
     def purely_atomic(self):
         return self.K0 == 0.0
 
@@ -233,7 +200,8 @@ class PhiHierarchy:
     Exact decomposition on the tabulated window: phi_k = A_k - sum_{j even < k}
     I_j B_{k-j}, where A_k is the k-fold antiderivative of the phi spline and B_i
     the i-fold antiderivative of chi_eps (closed polynomial beyond the bump,
-    Gauss quadrature across it).  Hierarchies are immutable and shareable.
+    Gauss quadrature across it).  Hierarchies are immutable values: the moments,
+    b and phi_k for k <= K do not depend on K.
     """
 
     def __init__(self, family, eps, K):
@@ -247,7 +215,6 @@ class PhiHierarchy:
             raise ValueError(
                 f"requested K={K} beyond tabulation stability: estimated "
                 f"truncation {est:.3e} exceeds {STABILITY_TOL:g}")
-        family._ensure_chain(K + 1)
         self.family = family
         self.eps = float(eps)
         self.K = K
@@ -273,11 +240,6 @@ class PhiHierarchy:
         tau = np.asarray(tau, dtype=float)
         out = np.zeros(tau.shape)
         eps, fam = self.eps, self.family
-        if i == 0:
-            inside = np.abs(tau) < eps
-            if np.any(inside):
-                out[inside] = fam.chi(tau[inside] / eps) / eps
-            return out
         coef = self._bpoly[i]
         right = tau >= eps
         if np.any(right):
@@ -296,9 +258,6 @@ class PhiHierarchy:
             out[mid] = np.sum(fam._chi_glweights[None, :] * half[:, None] * dens * kern,
                               axis=1)
         return out
-
-    def chi_eps(self, tau):
-        return self._B(0, tau)
 
     def chi_cdf(self, tau):
         return self._B(1, tau)
@@ -347,10 +306,20 @@ class PhiHierarchy:
             out.append(total)
         return tuple(out)
 
-    def _window_guard(self, tau):
+    def _right_half(self, level, k, tau):
+        # A_level - sum_{j even < k} I_j B_{level-j} at |tau|: the right-half
+        # tabulation of phi_k (level k) and of its running integral (level k + 1)
+        if not 0 <= k <= self.K:
+            raise ValueError("k out of range for this hierarchy")
+        tau = np.asarray(tau, dtype=float)
         if np.max(np.abs(tau), initial=0.0) > WINDOW_HALF_WIDTH:
             raise ValueError(
                 f"evaluation point beyond the tabulated window |tau| <= {WINDOW_HALF_WIDTH:g}")
+        at = np.abs(tau)
+        out = self.family._a_window[level](at)
+        for j in range(0, k, 2):
+            out = out - self.moments[j] * self._B(level - j, at)
+        return tau, out
 
     def phi_k(self, k, tau):
         """phi_{k,eps} evaluated on the tabulated window.
@@ -359,19 +328,8 @@ class PhiHierarchy:
         the parity relation phi_k(-t) = (-1)^k phi_k(t), so the even/odd
         symmetry of every level is exact by construction.
         """
-        if not 0 <= k <= self.K:
-            raise ValueError("k out of range for this hierarchy")
-        tau = np.asarray(tau, dtype=float)
-        self._window_guard(tau)
-        at = np.abs(tau)
-        out = self.family._a_window[k](at)
-        for j in range(0, k, 2):
-            if k - j <= 0:
-                continue
-            out = out - self.moments[j] * self._B(k - j, at)
-        if k % 2 == 1:
-            out = out * np.sign(tau)
-        return out
+        tau, out = self._right_half(k, k, tau)
+        return out * np.sign(tau) if k % 2 == 1 else out
 
     def phi_k_antiderivative(self, k, tau):
         """Running integral of phi_{k,eps} from -infinity.
@@ -379,49 +337,35 @@ class PhiHierarchy:
         With Phi_k(t) tabulated for t >= 0, the left half follows from
         Phi_k(-t) = (-1)^k (I_k - Phi_k(t)).
         """
-        if not 0 <= k <= self.K:
-            raise ValueError("k out of range for this hierarchy")
-        tau = np.asarray(tau, dtype=float)
-        self._window_guard(tau)
-        at = np.abs(tau)
-        pos = self.family._a_window[k + 1](at)
-        for j in range(0, k, 2):
-            pos = pos - self.moments[j] * self._B(k + 1 - j, at)
+        tau, pos = self._right_half(k + 1, k, tau)
         return np.where(tau >= 0, pos, (-1.0) ** k * (self.moments[k] - pos))
 
     # ---- convolutions against the odd-extended measure -------------------------
 
-    def conv_distribution(self, k, mu, sigma):
-        """phi_{k,eps} * N_mu at sigma for an atomic measure (plus a point mass at 0)."""
+    @staticmethod
+    def _atom_sum(f, c, mu, sigma):
+        # sum_atoms w (f(sigma - s) + f(sigma + s) - c) + K0 (f(sigma) - c/2);
+        # a constant c = 0 leaves every term unchanged bit for bit
         sigma = np.asarray(sigma, dtype=float)
         out = np.zeros(sigma.shape)
-        ik = self.moments[k]
         for s, w in mu.atoms:
-            out = out + w * (self.phi_k_antiderivative(k, sigma - s)
-                             + self.phi_k_antiderivative(k, sigma + s) - ik)
+            out = out + w * (f(sigma - s) + f(sigma + s) - c)
         if mu.K0:
-            out = out + mu.K0 * (self.phi_k_antiderivative(k, sigma) - 0.5 * ik)
+            out = out + mu.K0 * (f(sigma) - 0.5 * c)
         return out
+
+    def conv_distribution(self, k, mu, sigma):
+        """phi_{k,eps} * N_mu at sigma for an atomic measure (plus a point mass at 0)."""
+        return self._atom_sum(functools.partial(self.phi_k_antiderivative, k),
+                              self.moments[k], mu, sigma)
 
     def conv_jump_measure(self, k, mu, sigma):
         """phi_{k,eps} * T_mu at sigma, T_mu the even reflection of the atom set."""
-        sigma = np.asarray(sigma, dtype=float)
-        out = np.zeros(sigma.shape)
-        for s, w in mu.atoms:
-            out = out + w * (self.phi_k(k, sigma - s) + self.phi_k(k, sigma + s))
-        if mu.K0:
-            out = out + mu.K0 * self.phi_k(k, sigma)
-        return out
+        return self._atom_sum(functools.partial(self.phi_k, k), 0.0, mu, sigma)
 
     def smoothed_distribution(self, mu, sigma):
         """chi_eps * N_mu for the atoms and the point mass at 0."""
-        sigma = np.asarray(sigma, dtype=float)
-        out = np.zeros(sigma.shape)
-        for s, w in mu.atoms:
-            out = out + w * (self.chi_cdf(sigma - s) + self.chi_cdf(sigma + s) - 1.0)
-        if mu.K0:
-            out = out + mu.K0 * (self.chi_cdf(sigma) - 0.5)
-        return out
+        return self._atom_sum(self.chi_cdf, 1.0, mu, sigma)
 
 
 def _compositions(m):
@@ -435,16 +379,14 @@ def _compositions(m):
 
 
 def build_phi_hierarchy(fam, eps, K):
-    key = (float(eps), int(K))
-    if key not in fam._hier_cache:
-        fam._hier_cache[key] = PhiHierarchy(fam, eps, K)
-    return fam._hier_cache[key]
+    """A new phi_{k,eps} hierarchy on the family, k <= K (well under a millisecond)."""
+    return PhiHierarchy(fam, eps, K)
 
 
 # ---- smoothed Riesz means ------------------------------------------------------
 
 
-def _adaptive_quad(f, a, b, breakpoints=(), rtol=1e-10, atol=1e-13, max_depth=26):
+def _adaptive_quad(f, a, b, breakpoints=()):
     """Composite Gauss-Legendre with bisection refinement; returns (value, error)."""
     pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
     x24, w24 = _gl(24)
@@ -457,7 +399,7 @@ def _adaptive_quad(f, a, b, breakpoints=(), rtol=1e-10, atol=1e-13, max_depth=26
         coarse = half * float(w24 @ f(mid + half * x24))
         fine = half * float(w48 @ f(mid + half * x48))
         d = abs(fine - coarse)
-        if d <= max(atol, rtol * (abs(fine) + 1e-30)) or depth >= max_depth:
+        if d <= max(QUAD_ATOL, QUAD_RTOL * (abs(fine) + 1e-30)) or depth >= QUAD_MAX_DEPTH:
             total += fine
             err += d
         else:
@@ -497,7 +439,10 @@ def smoothed_riesz(mu, gamma, tau, eps, fam):
     breaks = _measure_breakpoints(mu, eps, tau)
     cut = max([7.0 * tau / 8.0] + [p for p in breaks if p < tau])
     body = lambda s: (1.0 - (s / tau) ** 2) ** (gamma - 1.0) * (s / tau) * smooth_n(s)
-    val, _ = _adaptive_quad(body, 0.0, cut, breakpoints=breaks)
+    val, err = _adaptive_quad(body, 0.0, cut, breakpoints=breaks)
+    tol = QUAD_TOL * max(1.0, abs(val))
+    if err > tol:
+        raise RuntimeError(f"quadrature did not converge: estimate {err:.2e} > {tol:.2e}")
     tail_f = lambda s: (s / tau) * smooth_n(s)
     val += _jacobi_tail(tail_f, cut, tau, gamma, 64)
     return 2.0 * gamma / tau * val
@@ -512,7 +457,7 @@ def _g_poly(m):
     return np.concatenate(([0.0], c))
 
 
-def _identity_sides(mu, m, eps, tau, fam, quad_tol=1e-8):
+def _identity_sides(mu, m, eps, tau, fam, quad_tol=QUAD_TOL):
     if m not in (1, 2):
         raise ValueError("the iterated identity is checked for m in {1, 2}")
     if not tau > 0:
@@ -569,8 +514,6 @@ def reflection_heat_bound(rect, bc, x, t):
     sums are exact for the rectangle, so deviation <= bound is a theorem, not a fit.
     """
     bc = check_bc(bc)
-    if not isinstance(rect, Rectangle):
-        rect = Rectangle(*rect)
     px, py = float(x[0]), float(x[1])
     if not (0.0 < px < rect.a and 0.0 < py < rect.b):
         raise ValueError("x must lie strictly inside the rectangle")
@@ -597,8 +540,6 @@ def tauberian_order_check(rect, bc, x, gamma, lambda_grid):
     against tau = sqrt(lambda) over 12 logarithmic blocks.
     """
     bc = check_bc(bc)
-    if not isinstance(rect, Rectangle):
-        rect = Rectangle(*rect)
     lam = np.sort(np.asarray(lambda_grid, dtype=float))
     if lam[0] <= 0:
         raise ValueError("lambda grid must be positive")

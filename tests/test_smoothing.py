@@ -1,7 +1,10 @@
 """Band-limited mollifier hierarchy, smoothed Riesz means, and the iterated identity."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from weylab import (AtomicMeasure, MollifierFamily, PhiHierarchy, Rectangle,
                     build_mollifier, build_phi_hierarchy, reflection_heat_bound,
@@ -9,7 +12,7 @@ from weylab import (AtomicMeasure, MollifierFamily, PhiHierarchy, Rectangle,
                     iterated_identity_report, DIRICHLET, NEUMANN)
 from weylab import smoothing
 from weylab.smoothing import (ENVELOPE_POWER, ENVELOPE_RATE, ENVELOPE_SCALE,
-                              WINDOW_HALF_WIDTH, _identity_sides)
+                              MAX_HIERARCHY_K, WINDOW_HALF_WIDTH, _identity_sides)
 
 FAM = build_mollifier()
 HIER = build_phi_hierarchy(FAM, 0.1, 6)
@@ -39,7 +42,6 @@ def test_psi_tabulation_against_mpmath():
         taus = (0.0, 0.5, 3.0, 17.25)
         want = [float(norm / mpmath.pi * mpmath.quad(lambda x: p(x) * mpmath.cos(t * x),
                                                      [0, HALF_BAND])) for t in taus]
-    FAM._ensure_tab()
     phi_tab = FAM._phi_tab
     for t, w in zip(taus, want):
         j = int(round(t / TAB_STEP))
@@ -136,6 +138,40 @@ def test_hierarchy_build_fits_one_spline(monkeypatch):
     assert len(fits) == 1
 
 
+def test_windowed_chain_matches_the_full_range_chain():
+    # the family integrates the spline restricted to [0, WINDOW_HALF_WIDTH]; the
+    # chain of the full-range spline, each level then restricted to the window,
+    # has the same pieces bit for bit
+    def restricted(pp):
+        x = pp.x
+        i0 = max(0, np.searchsorted(x, 0.0, side="right") - 1)
+        i1 = min(len(x) - 1, np.searchsorted(x, WINDOW_HALF_WIDTH, side="left"))
+        return pp.c[:, i0:i1], x[i0:i1 + 1]
+
+    level = CubicSpline(FAM.tab_grid, FAM._phi_tab, bc_type=((1, 0.0), "not-a-knot"))
+    assert len(FAM._a_window) == MAX_HIERARCHY_K + 2
+    for k, window in enumerate(FAM._a_window):
+        if k:
+            level = level.antiderivative()
+            level.c[-1, :] += FAM._half_moments[k - 1] / math.factorial(k - 1)
+        c, x = restricted(level)
+        assert np.array_equal(window.c, c) and np.array_equal(window.x, x), f"k={k}"
+
+
+def test_hierarchies_agree_on_their_common_prefix():
+    # a hierarchy is a plain value of (eps, K): the moments, b and phi_k for
+    # k <= K do not depend on K
+    taus = np.linspace(-20.0, 20.0, 101)
+    for K in (0, 2, 3):
+        h = build_phi_hierarchy(FAM, 0.1, K)
+        assert h is not HIER
+        assert h.moments == HIER.moments[:K + 1] and h.b == HIER.b[:K + 1]
+        for k in range(K + 1):
+            assert np.array_equal(h.phi_k(k, taus), HIER.phi_k(k, taus)), f"K={K} k={k}"
+            assert np.array_equal(h.phi_k_antiderivative(k, taus),
+                                  HIER.phi_k_antiderivative(k, taus)), f"K={K} k={k}"
+
+
 def test_coefficient_recursion_against_closed_forms():
     b = HIER.b
     assert b[0] == 1.0 and b[1] == 0.0 and b[3] == 0.0 and b[5] == 0.0
@@ -165,7 +201,6 @@ def test_truncation_stability_gate():
 
 
 def test_hierarchies_are_cached():
-    assert build_phi_hierarchy(FAM, 0.1, 6) is HIER
     assert build_mollifier() is FAM
 
 
@@ -201,6 +236,13 @@ def test_smoothed_riesz_refines_to_the_sharp_mean():
     assert 3.5 < errs[1] / errs[2] < 4.5
     # tau entirely below the smoothed support: exactly zero
     assert smoothed_riesz(mu, 1.0, 0.5, 0.2, FAM) == 0.0
+
+
+def test_smoothed_riesz_refuses_an_unconverged_quadrature(monkeypatch):
+    mu = AtomicMeasure(atoms=((1.0, 1.0),))
+    monkeypatch.setattr(smoothing, "_adaptive_quad", lambda f, a, b, breakpoints=(): (0.5, 1e-6))
+    with pytest.raises(RuntimeError, match="quadrature did not converge"):
+        smoothed_riesz(mu, 1.0, 2.0, 0.1, FAM)
 
 
 def test_iterated_identity_residuals():

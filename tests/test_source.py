@@ -1,6 +1,8 @@
 """Source-level invariants of the weylab package."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import weylab
@@ -32,3 +34,20 @@ def test_no_global_warning_or_floating_point_switches():
             if name in banned:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"global warning switches in weylab: {', '.join(found)}"
+
+
+def test_benchmark_span_targets_exist():
+    # perfbench/spans.py wraps these functions and methods by name, and a traced
+    # run raises on a missing one; catch a deletion here instead
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for modname, qual in [*spans.SPANS, *spans.COUNTED]:
+        target = importlib.import_module(modname)
+        for name in qual.split("."):
+            target = getattr(target, name, None)
+        if not callable(target):
+            missing.append(f"{modname}.{qual}")
+    assert not missing, f"benchmark span targets missing: {', '.join(missing)}"
