@@ -1,33 +1,32 @@
 """Convex polygon geometry: inradius, erosion, boundary layers, corner data.
 
-All quantities here are computed from closed forms: erosion by inward
-half-plane offsets, circle/polygon clipping via Green's theorem, the
-boundary-layer functional via the piecewise-quadratic erosion area, and the
-corner-separation radius from the containment bound and half the closest
-vertex distance.  The only iterative numerics are the Chebyshev-center linear
-program (HiGHS).
+Every quantity here comes from a closed form.  One edge-collapse (straight
+skeleton) pass per polygon gives the Chebyshev center, the inradius and the
+piecewise-quadratic erosion area, hence the boundary-layer functional; disk
+intersections come from Green's theorem; the corner-separation radius from
+the containment bound and half the closest vertex distance.  Nothing is
+iterative: there is no linear program and no search.
 """
 
+import functools
 import json
 import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 RANDOM_POLYGON_MAX_POINTS = 10
 
 
 def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _ang(u, v):
-    """Signed angle from u to v in (-pi, pi]; zero if either is (near) null."""
-    if (u[0] * u[0] + u[1] * u[1]) < 1e-300 or (v[0] * v[0] + v[1] * v[1]) < 1e-300:
-        return 0.0
-    return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
+    """Signed angle from u to v in (-pi, pi] (last axis); zero where either is (near) null."""
+    null = (np.sum(u * u, axis=-1) < 1e-300) | (np.sum(v * v, axis=-1) < 1e-300)
+    return np.where(null, 0.0, np.arctan2(_cross(u, v), np.sum(u * v, axis=-1)))
 
 
 class ConvexPolygon:
@@ -43,14 +42,15 @@ class ConvexPolygon:
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("need at least 3 planar vertices")
         n = v.shape[0]
-        e = np.roll(v, -1, axis=0) - v
+        nxt = np.arange(1, n + 1) % n
+        e = v[nxt] - v
         lengths = np.hypot(e[:, 0], e[:, 1])
         if np.any(lengths == 0.0):
             raise ValueError("duplicate consecutive vertices")
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        sines = cross / (lengths * np.roll(lengths, -1))
+        sines = _cross(e, e[nxt]) / (lengths * lengths[nxt])
+        twice_area = _cross(v, v[nxt])
         if np.any(sines <= 0.0):
-            if 2.0 * np.sum(0.5 * (v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])) < 0:
+            if np.sum(twice_area) < 0:
                 raise ValueError("vertices must be in counterclockwise order")
             raise ValueError("polygon is not strictly convex")
         if np.any(sines <= 1e-12):
@@ -60,35 +60,29 @@ class ConvexPolygon:
         self._lengths = lengths
         # interior angle at vertex i sits between incoming edge e_{i-1} and
         # outgoing edge e_i: alpha_i = pi - turn_i
-        turn = np.arctan2(
-            np.roll(e[:, 0], 1) * e[:, 1] - np.roll(e[:, 1], 1) * e[:, 0],
-            np.roll(e[:, 0], 1) * e[:, 0] + np.roll(e[:, 1], 1) * e[:, 1],
-        )
-        self.angles = math.pi - turn
+        e_in = e[nxt - 2]
+        self.angles = math.pi - np.arctan2(_cross(e_in, e), np.sum(e_in * e, axis=1))
         if abs(float(np.sum(self.angles)) - (n - 2) * math.pi) > 1e-10:
             raise ValueError("interior angles do not sum to (n-2)*pi")
-        self.area = float(0.5 * np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+        self.area = float(0.5 * np.sum(twice_area))
         self.perimeter = float(np.sum(lengths))
         # outward unit normals (rotate edge direction by -90 degrees) and offsets
         self.normals = np.column_stack((e[:, 1], -e[:, 0])) / lengths[:, None]
         self.offsets = np.einsum("ij,ij->i", self.normals, v)
         self.scale = float(np.max(np.ptp(v, axis=0)))
-        self._chebyshev = None
 
     @property
     def n(self):
         return self.vertices.shape[0]
 
-    def chebyshev(self):
-        """(center copy, inradius) from one Chebyshev-center LP per polygon.
+    @functools.cached_property
+    def _schedule(self):
+        # polygons are never mutated (scaled/translated build new ones)
+        return _collapse_schedule(self)
 
-        Polygons are never mutated (scaled/translated build new ones), so the
-        solve is cached on the instance.
-        """
-        if self._chebyshev is None:
-            self._chebyshev = chebyshev_center(self)
-        center, radius = self._chebyshev
-        return center.copy(), radius
+    def chebyshev(self):
+        """(center copy, inradius) from the cached edge-collapse schedule."""
+        return chebyshev_center(self)
 
     def contains(self, point, tol=0.0):
         p = np.asarray(point, dtype=float)
@@ -121,42 +115,85 @@ class ConvexPolygon:
         th = 2.0 * math.pi * np.arange(n) / n
         return cls(np.column_stack((big_r * np.cos(th), big_r * np.sin(th))))
 
-    def to_json_dict(self):
-        return {"vertices": self.vertices.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(d["vertices"])
-
 
 def save_polygon(poly, path):
     with open(path, "w") as fh:
-        json.dump(poly.to_json_dict(), fh)
+        json.dump({"vertices": poly.vertices.tolist()}, fh)
 
 
 def load_polygon(path):
     with open(path) as fh:
-        return ConvexPolygon.from_json_dict(json.load(fh))
+        return ConvexPolygon(json.load(fh)["vertices"])
+
+
+class _Schedule(NamedTuple):  # see _collapse_schedule
+    center: np.ndarray
+    radius: float
+    pieces: list
+
+
+def _collapse_schedule(poly):
+    """Edge-collapse (straight-skeleton) schedule of a convex polygon, in closed form.
+
+    The inner parallel body at offset s is {n_k . x <= b_k - s}.  Active edge i
+    collapses at the s solving n_k . x + s = b_k for k = prev(i), i, next(i), from
+    the original offsets; convex polygons have no split events.  Each stage drops
+    the first edge to collapse; the last three lines meet at the Chebyshev center
+    at s = inradius (Aichholzer, Aurenhammer, Alberts & Gaertner, J. UCS 1, 1995).
+    Between events the area is A(s0 + u) = A(s0) - u P(s0) + u^2 K and the
+    perimeter P(s0) - 2 u K, K = sum tan(turn / 2); pieces are
+    (s0, s_end, A(s0), P(s0), K).  A stage shorter than 1e-12 inradius merges
+    into the one before it.  That drops simultaneous collapses, and every stage
+    that starts at the inradius, the only place where antiparallel lines become
+    adjacent.
+    """
+    nrm, off = poly.normals, poly.offsets
+    active, stages, s0 = list(range(poly.n)), [], 0.0
+    while True:
+        m = len(active)
+        tri = [(active[j - 1], active[j], active[(j + 1) % m]) for j in range(m)]
+        lhs = np.concatenate((nrm[tri], np.ones((m, 3, 1))), axis=2)
+        sol = np.linalg.solve(lhs, off[tri][..., None])[..., 0]
+        stages.append((s0, active))
+        if m == 3:
+            break
+        j = int(np.argmin(sol[:, 2]))
+        s0 = max(s0, float(sol[j, 2]))
+        active = active[:j] + active[j + 1:]
+    center, r_in = sol[0, :2], float(sol[0, 2])
+    tol = max(1e-12 * r_in, 1e-14 * max(poly.scale, 1.0))
+    ends = [s for s, _ in stages[1:]] + [r_in]
+    stages = [st for k, (st, end) in enumerate(zip(stages, ends)) if k == 0 or end - st[0] > tol]
+    ends = [s for s, _ in stages[1:]] + [r_in]
+    pieces = []
+    for k, ((s_lo, idx), s_hi) in enumerate(zip(stages, ends)):
+        nxt = idx[1:] + idx[:1]
+        n_a, n_b = nrm[idx], nrm[nxt]
+        sin = _cross(n_a, n_b)
+        k_sum = float(np.sum(sin / (1.0 + np.sum(n_a * n_b, axis=1))))
+        if k == 0:
+            area, per = poly.area, poly.perimeter
+        else:
+            # vertex between active edges j and j+1, at offset b - s_lo
+            c_a, c_b = off[idx] - s_lo, off[nxt] - s_lo
+            v = np.column_stack((c_a * n_b[:, 1] - c_b * n_a[:, 1],
+                                 n_a[:, 0] * c_b - n_b[:, 0] * c_a)) / sin[:, None]
+            w = np.concatenate((v[1:], v[:1]))
+            area = float(0.5 * np.sum(_cross(v, w)))
+            per = float(np.sum(np.hypot(*(w - v).T)))
+        pieces.append((s_lo, s_hi, area, per, k_sum))
+    return _Schedule(center, r_in, pieces)
 
 
 def chebyshev_center(poly):
-    """Deepest interior point and its distance to the boundary, via an LP."""
-    a_ub = np.column_stack((poly.normals, np.ones(poly.n)))
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=poly.offsets,
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"Chebyshev-center LP failed: {res.message}")
-    return np.array(res.x[:2]), float(res.x[2])
+    """Deepest interior point and its distance to the boundary: where the last
+    three lines of the polygon's (cached) edge-collapse schedule meet."""
+    return poly._schedule.center.copy(), poly._schedule.radius
 
 
 def inradius(poly):
-    """Inradius as the optimum of the (cached) Chebyshev-center linear program."""
-    return poly.chebyshev()[1]
+    """Inradius: the last collapse time of the (cached) edge-collapse schedule."""
+    return poly._schedule.radius
 
 
 def _sanitize_loop(points, scale):
@@ -224,13 +261,19 @@ def erode(poly, s):
         return None
 
 
+def _inner_body(poly, s):
+    """Area and perimeter of the inner parallel body at 0 <= s <= inradius."""
+    s_lo, _, area, per, k = next(p for p in reversed(poly._schedule.pieces) if p[0] <= s)
+    u = s - s_lo
+    return area - u * per + u * u * k, per - 2.0 * u * k
+
+
 def distance_level_volume(poly, s):
     """Area of the boundary layer {x in Omega : dist(x, boundary) < s}, 0 <= s <= inradius."""
     r_in = inradius(poly)
     if not (0.0 <= s <= r_in * (1.0 + 1e-12)):
         raise ValueError(f"s = {s} outside [0, inradius = {r_in}]")
-    inner = erode(poly, min(s, r_in))
-    return poly.area - (inner.area if inner is not None else 0.0)
+    return poly.area - _inner_body(poly, min(s, r_in))[0]
 
 
 def inner_parallel_perimeter(poly, s):
@@ -238,41 +281,7 @@ def inner_parallel_perimeter(poly, s):
     r_in = inradius(poly)
     if not (0.0 <= s < r_in):
         raise ValueError(f"s = {s} outside [0, inradius = {r_in})")
-    inner = erode(poly, s)
-    if inner is None:
-        raise RuntimeError("erosion collapsed before the inradius; polygon data inconsistent")
-    return inner.perimeter
-
-
-def _erosion_pieces(poly):
-    """Quadratic pieces of the erosion area A(s) on [0, inradius).
-
-    Between edge-collapse events the inner body keeps its angle set, so
-    A(s0 + u) = A(s0) - u*P(s0) + u^2 * sum_i cot(alpha_i / 2).  Returns a list
-    of (s_lo, s_hi, area_lo, per_lo, K_lo).
-    """
-    r_in = inradius(poly)
-    pieces = []
-    s0 = 0.0
-    current = poly
-    for _ in range(poly.n + 2):
-        cot_half = 1.0 / np.tan(0.5 * current.angles)
-        k_sum = float(np.sum(cot_half))
-        # edge i runs from vertex i to vertex i+1; its length shrinks at rate
-        # cot(alpha_i/2) + cot(alpha_{i+1}/2)
-        rates = cot_half + np.roll(cot_half, -1)
-        with np.errstate(divide="ignore"):
-            vanish = current._lengths / rates
-        u_star = float(np.min(vanish[rates > 0])) if np.any(rates > 0) else np.inf
-        s_next = min(s0 + u_star, r_in)
-        pieces.append((s0, s_next, current.area, current.perimeter, k_sum))
-        if s_next >= r_in * (1.0 - 1e-12) or s_next >= r_in - 1e-14 * max(poly.scale, 1.0):
-            break
-        s0 = s_next
-        current = erode(poly, s0)
-        if current is None:
-            break
-    return pieces, r_in
+    return _inner_body(poly, s)[1]
 
 
 def theta_omega(poly):
@@ -283,28 +292,23 @@ def theta_omega(poly):
     value returned is the exact piecewise supremum (which reproduces that fact
     rather than assuming it).
     """
-    pieces, r_in = _erosion_pieces(poly)
-    total = poly.area
     best = poly.perimeter  # l -> 0+ limit on the first piece
-    for (s_a, s_b, a0, p0, k) in pieces:
-        h_a = total - a0
+    for (s_a, s_b, a0, p0, k) in poly._schedule.pieces:
+        h_a = poly.area - a0
 
         def g(l):
             u = l - s_a
             return (h_a + u * p0 - u * u * k) / l
 
-        if s_b > s_a:
-            best = max(best, g(s_b))
-            if s_a > 0.0:
-                best = max(best, g(s_a))
-            # interior stationary point of g: K u^2 + 2 K s_a u + (h_a - P0 s_a) = 0
-            disc = s_a * s_a - (h_a - p0 * s_a) / k if k > 0 else -1.0
-            if disc >= 0.0:
-                u = -s_a + math.sqrt(disc)
-                if 0.0 < u < s_b - s_a:
-                    best = max(best, g(s_a + u))
-    best = max(best, total / r_in)  # branch l >= inradius: |Omega|/l maximized at l = r_in
-    return best
+        best = max(best, g(s_b))  # pieces are contiguous: this covers every event
+        # interior stationary point of g: K u^2 + 2 K s_a u + (h_a - P0 s_a) = 0
+        disc = s_a * s_a - (h_a - p0 * s_a) / k if k > 0 else -1.0
+        if disc >= 0.0:
+            u = -s_a + math.sqrt(disc)
+            if 0.0 < u < s_b - s_a:
+                best = max(best, g(s_a + u))
+    # branch l >= inradius: |Omega|/l maximized at l = r_in
+    return max(best, poly.area / inradius(poly))
 
 
 def minkowski_ball_area(poly, r):
@@ -314,32 +318,29 @@ def minkowski_ball_area(poly, r):
     return poly.area + r * poly.perimeter + math.pi * r * r
 
 
-def _edge_disk_term(p, q, r):
-    """Contribution of directed edge p->q to |polygon ∩ disk(0, r)| (Green's theorem)."""
+def _disk_areas(poly, center, radii):
+    """|polygon ∩ disk(center, r)| for every r in radii, by Green's theorem, in one
+    array pass: edge p -> q adds 0.5 x1 x x2 for its chord x1 x2 inside the disk
+    and 0.5 r^2 * angle for each part outside it."""
+    p = (poly.vertices - np.asarray(center, dtype=float))[:, None]  # edge, radius, xy
+    q = np.roll(p, -1, axis=0)
     d = q - p
-    a = float(np.dot(d, d))
-    if a < 1e-300:
-        return 0.0
-    b = 2.0 * float(np.dot(p, d))
-    c = float(np.dot(p, p)) - r * r
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return 0.5 * r * r * _ang(p, q)
-    sq = math.sqrt(disc)
-    t1 = (-b - sq) / (2.0 * a)
-    t2 = (-b + sq) / (2.0 * a)
-    if t2 <= 0.0 or t1 >= 1.0:
-        return 0.5 * r * r * _ang(p, q)
-    t1c = max(t1, 0.0)
-    t2c = min(t2, 1.0)
-    x1 = p + t1c * d
-    x2 = p + t2c * d
-    term = 0.5 * _cross(x1, x2)
-    if t1 > 0.0:
-        term += 0.5 * r * r * _ang(p, x1)
-    if t2 < 1.0:
-        term += 0.5 * r * r * _ang(x2, q)
-    return term
+    r2 = radii * radii
+    a = np.sum(d * d, axis=-1)
+    live = a >= 1e-300  # a null edge contributes nothing
+    a = np.where(live, a, 1.0)
+    b = 2.0 * np.sum(p * d, axis=-1)
+    disc = b * b - 4.0 * a * (np.sum(p * p, axis=-1) - r2)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t1, t2 = (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)
+    cuts = (disc > 0.0) & (t2 > 0.0) & (t1 < 1.0)
+    x1 = p + np.maximum(t1, 0.0)[..., None] * d
+    x2 = p + np.minimum(t2, 1.0)[..., None] * d
+    chord = (0.5 * _cross(x1, x2)
+             + np.where(t1 > 0.0, 0.5 * r2 * _ang(p, x1), 0.0)
+             + np.where(t2 < 1.0, 0.5 * r2 * _ang(x2, q), 0.0))
+    terms = np.where(cuts, chord, 0.5 * r2 * _ang(p, q))
+    return np.sum(np.where(live, terms, 0.0), axis=0)
 
 
 def polygon_disk_area(poly, center, r):
@@ -348,9 +349,7 @@ def polygon_disk_area(poly, center, r):
         raise ValueError("r must be >= 0")
     if r == 0.0:
         return 0.0
-    c = np.asarray(center, dtype=float)
-    v = poly.vertices - c
-    return float(sum(_edge_disk_term(v[i], v[(i + 1) % poly.n], r) for i in range(poly.n)))
+    return float(_disk_areas(poly, center, np.array([float(r)]))[0])
 
 
 def bishop_gromov_profile(poly, a, radii):
@@ -365,7 +364,7 @@ def bishop_gromov_profile(poly, a, radii):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing and positive")
-    vals = np.array([polygon_disk_area(poly, a, r) / (r * r) for r in radii])
+    vals = _disk_areas(poly, a, radii) / (radii * radii)
     jumps = np.diff(vals)
     if np.any(jumps > 1e-10 * np.maximum(1.0, np.abs(vals[:-1]))):
         raise RuntimeError("Bishop-Gromov profile increased beyond tolerance; internal inconsistency")
@@ -433,7 +432,7 @@ def random_convex_polygon(rng, scale=1.0):
         pts = rng.random((k, 2)) * scale
         try:
             hull = ConvexHull(pts)
-        except Exception:
+        except QhullError:  # degenerate point set: draw again
             continue
         loop = _sanitize_loop(pts[hull.vertices], scale)
         if loop is None:

@@ -198,19 +198,24 @@ def test_geometry_suite(capsys):
     assert res["all_ok"] is True
 
 
-def test_geometry_solves_one_lp_per_polygon(capsys, monkeypatch):
+def test_geometry_builds_one_schedule_per_polygon(capsys, monkeypatch):
     import weylab.geometry as geometry
-    calls = []
-    real = geometry.linprog
+    calls = {"schedule": 0, "center": 0}
+    build, center = geometry._collapse_schedule, geometry.chebyshev_center
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted_build(poly):
+        calls["schedule"] += 1
+        return build(poly)
 
-    monkeypatch.setattr(geometry, "linprog", counted)
+    def counted_center(poly):
+        calls["center"] += 1
+        return center(poly)
+
+    monkeypatch.setattr(geometry, "_collapse_schedule", counted_build)
+    monkeypatch.setattr(geometry, "chebyshev_center", counted_center)
     code, rep = run_cli(capsys, ["geometry", "--count", "5"])
     assert code == 0 and rep["results"]["all_ok"] is True
-    assert len(calls) == 5
+    assert calls == {"schedule": 5, "center": 5}
 
 
 def test_shape_opt(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Convex-polygon machinery: erosions, boundary layers, wedges, disk intersections."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+import weylab.geometry as geometry
 from weylab import (ConvexPolygon, bishop_gromov_profile, chebyshev_center,
                     corner_params, distance_level_volume, erode,
                     inner_parallel_perimeter, inradius, load_polygon,
@@ -14,6 +18,11 @@ from weylab import (ConvexPolygon, bishop_gromov_profile, chebyshev_center,
 SQ = ConvexPolygon.rectangle(1.0, 1.0)
 # containment, not disjointness, bounds this triangle's corner radius
 FLAT = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.5, 0.15]])
+# a 4 x 2 rectangle with its corners cut at 45 degrees: the four cuts
+# (length 0.1 sqrt 2) collapse together at s = 0.1 sqrt(2) / (2 tan(pi / 8)),
+# well before the inradius 1
+CUT = ConvexPolygon([[0.1, 0.0], [3.9, 0.0], [4.0, 0.1], [4.0, 1.9],
+                     [3.9, 2.0], [0.1, 2.0], [0.0, 1.9], [0.0, 0.1]])
 
 
 def test_polygon_construction_basics():
@@ -71,9 +80,96 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_chebyshev_center_of_square():
     c, r = chebyshev_center(SQ)
-    assert abs(r - 0.5) < 1e-9
-    assert np.allclose(c, [0.5, 0.5], atol=1e-9)
-    assert abs(inradius(SQ) - 0.5) < 1e-9
+    assert abs(r - 0.5) <= 1e-14
+    assert np.all(np.abs(c - 0.5) <= 1e-14)
+    assert inradius(SQ) == r
+
+
+def _inradius_by_highs(p):
+    # the Chebyshev-center LP: max r subject to n_k . c + r <= b_k
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack((p.normals, np.ones(p.n))),
+                  b_ub=p.offsets, bounds=[(None, None), (None, None), (0.0, None)],
+                  method="highs")
+    assert res.success, res.message
+    return float(res.x[2])
+
+
+def _inradius_by_edge_triples(p):
+    # the inradius is the largest feasible circle tangent to three edge lines
+    tri = np.array([(i, j, k) for i in range(p.n) for j in range(i + 1, p.n)
+                    for k in range(j + 1, p.n)])
+    lhs = np.concatenate((p.normals[tri], np.ones(tri.shape + (1,))), axis=2)
+    sol = np.linalg.solve(lhs, p.offsets[tri][..., None])[..., 0]
+    feasible = np.all(sol[:, :2] @ p.normals.T + sol[:, 2:] <= p.offsets + 1e-12 * p.scale, axis=1)
+    return float(np.max(sol[feasible, 2]))
+
+
+def test_chebyshev_center_against_independent_oracles():
+    rng = np.random.default_rng(151)
+    for _ in range(500):
+        p = random_convex_polygon(rng, scale=float(rng.uniform(0.3, 4.0)))
+        c, r = chebyshev_center(p)
+        assert abs(r - _inradius_by_highs(p)) <= 1e-9 * r
+        assert abs(r - _inradius_by_edge_triples(p)) <= 1e-12 * r
+        assert np.all(p.normals @ c + r <= p.offsets + 1e-12 * p.scale)
+        assert r == inradius(p) == p.chebyshev()[1]
+
+
+def test_chebyshev_center_closed_forms():
+    for a, b in ((1.0, 2.0), (3.0, 0.7), (0.25, 0.25), (5.0, 1.0)):
+        p = ConvexPolygon.rectangle(a, b)
+        c, r = chebyshev_center(p)
+        assert abs(r - 0.5 * min(a, b)) <= 1e-14 * min(a, b)
+        assert np.all(p.normals @ c + r <= p.offsets + 1e-14 * p.scale)
+    for n in range(3, 13):
+        p = ConvexPolygon.regular(n)
+        big_r = math.sqrt(2.0 / (n * math.sin(2.0 * math.pi / n)))
+        c, r = chebyshev_center(p)
+        assert abs(r - big_r * math.cos(math.pi / n)) <= 1e-14 * big_r
+        assert np.all(np.abs(c) <= 1e-14 * big_r)
+    # isosceles trapezoid: the incircle touches both parallel sides, not the legs
+    trap = ConvexPolygon([[0.0, 0.0], [4.0, 0.0], [3.0, 1.0], [1.0, 1.0]])
+    c, r = chebyshev_center(trap)
+    assert abs(r - 0.5) <= 1e-14
+    assert abs(c[1] - 0.5) <= 1e-14
+    assert np.all(trap.normals @ c + r <= trap.offsets + 1e-14 * trap.scale)
+
+
+def test_chebyshev_center_returns_a_copy():
+    c, _ = chebyshev_center(SQ)
+    c[:] = 9.0
+    assert np.all(np.abs(SQ.chebyshev()[0] - 0.5) <= 1e-14)
+
+
+def test_erosion_pieces_with_parallel_edges():
+    # antiparallel lines become adjacent only at the last collapse, and
+    # simultaneous collapses make one event: no stage of (near) zero length,
+    # and no division by a vanishing cross product
+    for p, count in ((SQ, 1), (ConvexPolygon.rectangle(1.0, 2.0), 1),
+                     (ConvexPolygon.regular(6), 1), (CUT, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sched = geometry._collapse_schedule(p)
+        assert len(sched.pieces) == count
+        assert all(s_hi - s_lo > 1e-3 * sched.radius for s_lo, s_hi, *_ in sched.pieces)
+        assert sched.pieces[-1][1] == sched.radius == inradius(p)
+    first_cut = 0.05 * math.sqrt(2.0) / math.tan(math.pi / 8.0)
+    assert abs(geometry._collapse_schedule(CUT).pieces[0][1] - first_cut) <= 1e-15
+
+
+def test_erosion_pieces_against_clipping():
+    # the schedule's quadratic pieces against Sutherland-Hodgman erosion
+    rng = np.random.default_rng(152)
+    polys = [SQ, ConvexPolygon.rectangle(1.0, 2.0), ConvexPolygon.regular(6), CUT]
+    polys += [random_convex_polygon(rng, scale=float(rng.uniform(0.3, 4.0))) for _ in range(50)]
+    for p in polys:
+        pieces = geometry._collapse_schedule(p).pieces
+        assert pieces[0][0] == 0.0
+        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+        for s in rng.uniform(0.0, inradius(p), 4):
+            inner = erode(p, s)
+            assert abs(p.area - distance_level_volume(p, s) - inner.area) <= 1e-12 * p.area
+            assert abs(inner_parallel_perimeter(p, s) - inner.perimeter) <= 1e-12 * p.perimeter
 
 
 def test_erode_square_closed_form():
@@ -144,6 +240,35 @@ def test_polygon_disk_area_closed_cases():
     assert abs(polygon_disk_area(SQ, [0.0, 0.0], 0.3) - math.pi * 0.09 / 4.0) < 1e-14
     assert abs(polygon_disk_area(SQ, [0.5, 0.0], 0.3) - math.pi * 0.09 / 2.0) < 1e-13
     assert polygon_disk_area(SQ, [0.5, 0.5], 0.0) == 0.0
+
+
+def _area_inside_ngon(p, center, radius, sides=1024):
+    # |P ∩ regular N-gon with inradius `radius` about center|, by Qhull
+    th = 2.0 * math.pi * (np.arange(sides) + 0.5) / sides
+    ngon = np.column_stack((np.cos(th), np.sin(th)))
+    halfspaces = np.vstack((np.column_stack((p.normals, -p.offsets)),
+                            np.column_stack((ngon, -(ngon @ center + radius)))))
+    return ConvexHull(HalfspaceIntersection(halfspaces, center).intersections).volume
+
+
+def test_disk_areas_between_inscribed_and_circumscribed_polygons():
+    # independent route: the disk lies between its inscribed and circumscribed
+    # 1024-gons, so |P ∩ disk| lies between their clipped areas
+    rng = np.random.default_rng(153)
+    sides = 1024
+    for _ in range(12):
+        p = random_convex_polygon(rng, scale=float(rng.uniform(0.3, 4.0)))
+        c, r_in = chebyshev_center(p)
+        base = c + 0.9 * (p.vertices[0] - c) * rng.uniform()
+        radii = np.geomspace(0.2 * r_in, 2.0 * p.scale, 6)
+        areas = np.array([polygon_disk_area(p, base, r) for r in radii])
+        assert np.array_equal(bishop_gromov_profile(p, base, radii), areas / (radii * radii))
+        for r, area in zip(radii, areas):
+            lo = _area_inside_ngon(p, base, r * math.cos(math.pi / sides), sides)
+            hi = _area_inside_ngon(p, base, r, sides)
+            slack = 1e-12 * p.area
+            assert lo - slack <= area <= hi + slack
+            assert hi - lo <= 1e-4 * r * r
 
 
 def test_bishop_gromov_small_radius_limits():
@@ -254,6 +379,16 @@ def test_corner_radius_where_containment_binds():
     # the apex wedge of a flat triangle reaches the base at r = 0.15, well
     # before any two wedges meet (half the shortest side is 0.26)
     assert abs(corner_params(FLAT).R - 0.075) <= 1e-15
+
+
+def test_random_polygon_propagates_real_errors(monkeypatch):
+    # only a degenerate hull (QhullError) is redrawn; any other fault surfaces
+    def broken(points):
+        raise TypeError("not a hull")
+
+    monkeypatch.setattr(geometry, "ConvexHull", broken)
+    with pytest.raises(TypeError, match="not a hull"):
+        random_convex_polygon(np.random.default_rng(0))
 
 
 def test_random_polygon_determinism():
