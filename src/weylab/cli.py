@@ -7,7 +7,6 @@ bytes.  Dense series go to CSV side files, everything else into the report.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -17,13 +16,12 @@ from .constants import (DIRICHLET, check_bc, corner_sum, error_envelope,
                         heat_polygon_error_bound, heat_polygon_prediction,
                         heat_two_term_prediction, lt_constant, one_term_prediction,
                         three_term_polygon_prediction, two_term_prediction)
-from .geometry import ConvexPolygon, bishop_gromov_profile, corner_params, \
-    distance_level_volume, inradius, load_polygon, random_convex_polygon, theta_omega
+from .geometry import (bishop_gromov_profile, distance_level_volume, load_polygon,
+                       random_convex_polygon, theta_omega)
 from .shapeopt import optimize_rectangle, symmetry_trend, write_trace_csv
 from .smoothing import (AtomicMeasure, build_mollifier, build_phi_hierarchy,
                         iterated_identity_report, tauberian_order_check)
-from .spectra import (Disk, Rectangle, disk_spectrum, heat_trace,
-                      polygon_dirichlet_spectrum_fd, rectangle_spectrum, riesz_mean)
+from .spectra import Disk, Rectangle, heat_trace, riesz_mean
 
 
 def parse_grid(text, name="grid"):
@@ -65,30 +63,6 @@ def parse_domain(text):
     raise ValueError(f"unknown domain {text!r}; use unit-square, rect:A:B, disk:R or polygon:PATH")
 
 
-def _domain_geometry(dom):
-    if isinstance(dom, Rectangle):
-        return {"area": dom.area, "perimeter": dom.perimeter,
-                "inradius": 0.5 * min(dom.a, dom.b),
-                "angles": [0.5 * math.pi] * 4}
-    if isinstance(dom, Disk):
-        return {"area": dom.area, "perimeter": dom.perimeter,
-                "inradius": dom.radius, "angles": None}
-    return {"area": dom.area, "perimeter": dom.perimeter,
-            "inradius": inradius(dom), "angles": [float(a) for a in dom.angles]}
-
-
-def _domain_spectrum(dom, bc, lam_max, h=None):
-    if isinstance(dom, Rectangle):
-        return rectangle_spectrum(dom.a, dom.b, bc, lam_max)
-    if isinstance(dom, Disk):
-        return disk_spectrum(dom.radius, bc, lam_max)
-    if check_bc(bc) != DIRICHLET:
-        raise ValueError("polygon spectra are Dirichlet-only (FD backend)")
-    if h is None:
-        raise ValueError("polygon spectra need --grid-h")
-    return polygon_dirichlet_spectrum_fd(dom, h, lam_max)
-
-
 # ---- subcommands -----------------------------------------------------------------
 
 
@@ -105,8 +79,7 @@ def cmd_constants(args):
 def cmd_spectrum(args):
     if args.out is None:
         raise ValueError("spectrum needs --out to store the eigenvalue file")
-    dom = parse_domain(args.domain)
-    spec = _domain_spectrum(dom, args.bc, args.lambda_max, args.grid_h)
+    spec = parse_domain(args.domain).spectrum(args.bc, args.lambda_max, args.grid_h)
     spec.save(args.out)
     return {"path": args.out, "count": len(spec), "complete_below": spec.complete_below,
             "exact": spec.exact, "domain": spec.domain}
@@ -114,18 +87,17 @@ def cmd_spectrum(args):
 
 def cmd_weyl_check(args):
     dom = parse_domain(args.domain)
-    geom = _domain_geometry(dom)
     lams = parse_grid(args.lam, "--lambda")
-    spec = _domain_spectrum(dom, args.bc, float(lams[-1]) + 1.0, args.grid_h)
+    spec = dom.spectrum(args.bc, float(lams[-1]) + 1.0, args.grid_h)
     g = args.gamma
 
     def row(lam):
         computed = riesz_mean(spec, lam, g)
-        two = two_term_prediction(lam, g, 2, geom["area"], geom["perimeter"], args.bc)
-        env = error_envelope(lam, g, geom["perimeter"], geom["inradius"], 2, args.bc)
+        two = two_term_prediction(lam, g, 2, dom.area, dom.perimeter, args.bc)
+        env = error_envelope(lam, g, dom.perimeter, dom.inradius, 2, args.bc)
         rem = computed - two
         return {"lambda": lam, "computed": computed,
-                "one_term": one_term_prediction(lam, g, 2, geom["area"]),
+                "one_term": one_term_prediction(lam, g, 2, dom.area),
                 "two_term": two, "remainder": rem,
                 "remainder_over_lambda_gamma": rem / lam**g,
                 "envelope": env, "within_envelope": bool(abs(rem) <= env)}
@@ -139,17 +111,16 @@ def cmd_polygon_check(args):
     dom = parse_domain(args.domain)
     if not isinstance(dom, Rectangle):
         raise ValueError("third-term extraction needs exact spectra: rectangle domains only")
-    geom = _domain_geometry(dom)
     lams = parse_grid(args.lam, "--lambda")
-    spec = _domain_spectrum(dom, args.bc, float(lams[-1]) + 1.0)
+    spec = dom.spectrum(args.bc, float(lams[-1]) + 1.0)
     g = args.gamma
-    target = corner_sum(geom["angles"])
+    target = corner_sum(dom.angles)
 
     def row(lam):
         computed = riesz_mean(spec, lam, g)
-        two = two_term_prediction(lam, g, 2, geom["area"], geom["perimeter"], args.bc)
-        three = three_term_polygon_prediction(lam, g, geom["area"], geom["perimeter"],
-                                              geom["angles"], args.bc)
+        two = two_term_prediction(lam, g, 2, dom.area, dom.perimeter, args.bc)
+        three = three_term_polygon_prediction(lam, g, dom.area, dom.perimeter,
+                                              dom.angles, args.bc)
         return {"lambda": lam, "computed": computed, "two_term": two, "three_term": three,
                 "third_term_ratio": (computed - two) / lam**g,
                 "residual_after_three": computed - three}
@@ -161,22 +132,20 @@ def cmd_polygon_check(args):
 
 def cmd_heat_check(args):
     dom = parse_domain(args.domain)
-    geom = _domain_geometry(dom)
     ts = parse_grid(args.t, "--t")
     lam_max = 30.0 / float(ts[0])
-    spec = _domain_spectrum(dom, args.bc, lam_max, args.grid_h)
-    polygonal = geom["angles"] is not None and check_bc(args.bc) == DIRICHLET
+    spec = dom.spectrum(args.bc, lam_max, args.grid_h)
+    polygonal = dom.angles is not None and check_bc(args.bc) == DIRICHLET
     if polygonal:
-        poly = dom if isinstance(dom, ConvexPolygon) else ConvexPolygon.rectangle(dom.a, dom.b)
-        alpha_min, big_r = corner_params(poly)
+        alpha_min, big_r = dom.corners()
     rows = []
     for t in [float(t) for t in ts]:
         theta, tail = heat_trace(spec, t)
         r = {"t": t, "theta": theta, "tail_bound": tail,
-             "two_term": heat_two_term_prediction(t, 2, geom["area"], geom["perimeter"], args.bc)}
+             "two_term": heat_two_term_prediction(t, 2, dom.area, dom.perimeter, args.bc)}
         if polygonal:
-            pred = heat_polygon_prediction(t, geom["area"], geom["perimeter"], geom["angles"])
-            bound = heat_polygon_error_bound(t, geom["area"], len(geom["angles"]), alpha_min, big_r)
+            pred = heat_polygon_prediction(t, dom.area, dom.perimeter, dom.angles)
+            bound = heat_polygon_error_bound(t, dom.area, len(dom.angles), alpha_min, big_r)
             r.update({"polygon_prediction": pred, "polygon_bound": bound,
                       "deviation": theta - pred,
                       "within_bound": bool(abs(theta - pred) <= 10.0 * bound + tail)})

@@ -16,6 +16,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .constants import DIRICHLET, check_bc
+
 RANDOM_POLYGON_MAX_POINTS = 10
 
 
@@ -77,28 +79,41 @@ class ConvexPolygon:
 
     @functools.cached_property
     def _schedule(self):
-        # polygons are never mutated (scaled/translated build new ones)
+        # polygons are never mutated (scaled builds a new one)
         return _collapse_schedule(self)
+
+    @property
+    def inradius(self):
+        """The last collapse time of the (cached) edge-collapse schedule."""
+        return self._schedule.radius
 
     def chebyshev(self):
         """(center copy, inradius) from the cached edge-collapse schedule."""
         return chebyshev_center(self)
 
+    def key(self):
+        return {"shape": "polygon", "vertices": self.vertices.tolist()}
+
+    def corners(self):
+        return corner_params(self)
+
+    def spectrum(self, bc, lambda_max, h=None):
+        # 5-point FD; spectra imports this module at load time, so import it here
+        from .spectra import polygon_dirichlet_spectrum_fd
+        if check_bc(bc) != DIRICHLET:
+            raise ValueError("polygon spectra are Dirichlet-only (FD backend)")
+        if h is None:
+            raise ValueError("polygon spectra need --grid-h")
+        return polygon_dirichlet_spectrum_fd(self, h, lambda_max)
+
     def contains(self, point, tol=0.0):
         p = np.asarray(point, dtype=float)
         return bool(np.all(self.normals @ p <= self.offsets + tol))
-
-    def strictly_contains(self, point, margin=0.0):
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(self.normals @ p < self.offsets - margin))
 
     def scaled(self, s):
         if not s > 0:
             raise ValueError("scale factor must be > 0")
         return ConvexPolygon(self.vertices * s)
-
-    def translated(self, shift):
-        return ConvexPolygon(self.vertices + np.asarray(shift, dtype=float))
 
     @classmethod
     def rectangle(cls, a, b):
@@ -192,8 +207,7 @@ def chebyshev_center(poly):
 
 
 def inradius(poly):
-    """Inradius: the last collapse time of the (cached) edge-collapse schedule."""
-    return poly._schedule.radius
+    return poly.inradius
 
 
 def _sanitize_loop(points, scale):
@@ -221,46 +235,6 @@ def _sanitize_loop(points, scale):
     return np.array(out)
 
 
-def _clip_halfplane(points, normal, offset):
-    """Sutherland-Hodgman clip of a convex loop against normal . x <= offset."""
-    out = []
-    m = len(points)
-    for i in range(m):
-        cur, nxt = points[i], points[(i + 1) % m]
-        dc = offset - float(np.dot(normal, cur))
-        dn = offset - float(np.dot(normal, nxt))
-        if dc >= 0.0:
-            out.append(cur)
-            if dn < 0.0:
-                out.append(cur + (dc / (dc - dn)) * (nxt - cur))
-        elif dn > 0.0:
-            out.append(cur + (dc / (dc - dn)) * (nxt - cur))
-    return out
-
-
-def erode(poly, s):
-    """Inner parallel body at distance s (intersection of inward-offset half-planes).
-
-    Returns None when the body is empty or has collapsed to a lower-dimensional set.
-    """
-    if s < 0:
-        raise ValueError("offset must be >= 0")
-    if s == 0.0:
-        return poly
-    pts = list(poly.vertices)
-    for k in range(poly.n):
-        pts = _clip_halfplane(pts, poly.normals[k], poly.offsets[k] - s)
-        if len(pts) < 3:
-            return None
-    arr = _sanitize_loop(pts, poly.scale)
-    if arr is None:
-        return None
-    try:
-        return ConvexPolygon(arr)
-    except ValueError:
-        return None
-
-
 def _inner_body(poly, s):
     """Area and perimeter of the inner parallel body at 0 <= s <= inradius."""
     s_lo, _, area, per, k = next(p for p in reversed(poly._schedule.pieces) if p[0] <= s)
@@ -270,7 +244,7 @@ def _inner_body(poly, s):
 
 def distance_level_volume(poly, s):
     """Area of the boundary layer {x in Omega : dist(x, boundary) < s}, 0 <= s <= inradius."""
-    r_in = inradius(poly)
+    r_in = poly.inradius
     if not (0.0 <= s <= r_in * (1.0 + 1e-12)):
         raise ValueError(f"s = {s} outside [0, inradius = {r_in}]")
     return poly.area - _inner_body(poly, min(s, r_in))[0]
@@ -278,7 +252,7 @@ def distance_level_volume(poly, s):
 
 def inner_parallel_perimeter(poly, s):
     """Perimeter of the inner parallel body, 0 <= s < inradius."""
-    r_in = inradius(poly)
+    r_in = poly.inradius
     if not (0.0 <= s < r_in):
         raise ValueError(f"s = {s} outside [0, inradius = {r_in})")
     return _inner_body(poly, s)[1]
@@ -308,7 +282,7 @@ def theta_omega(poly):
             if 0.0 < u < s_b - s_a:
                 best = max(best, g(s_a + u))
     # branch l >= inradius: |Omega|/l maximized at l = r_in
-    return max(best, poly.area / inradius(poly))
+    return max(best, poly.area / poly.inradius)
 
 
 def minkowski_ball_area(poly, r):

@@ -133,19 +133,6 @@ class MollifierFamily:
         raw = np.exp(-1.0 / (1.0 - self._chi_nodes**2))
         return float(np.sum(self._chi_glweights * raw * self._chi_nodes**k) * self._chi_norm)
 
-    def phi_hat(self, xi):
-        """Fourier transform of the tabulated phi.
-
-        The trapezoid rule on the padded uniform grid is spectrally accurate here:
-        the integrand and all its derivatives vanish at the window ends.
-        """
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty(xi.size)
-        for i, s in enumerate(xi.ravel()):
-            even_sum = 2.0 * float(np.cos(s * self.tab_grid) @ self._phi_tab)
-            out[i] = TAB_STEP * (even_sum - self._phi_tab[0])
-        return out.reshape(xi.shape)
-
     def stability_estimate(self, K):
         """Crude K-fold truncation bound env(T) (2T)^K / K! for the padded window.
 

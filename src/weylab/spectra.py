@@ -1,10 +1,10 @@
 """Exact and discretized planar Laplace spectra plus the functionals built on them.
 
-Rectangles and disks get analytically enumerated spectra (lattice sums, Bessel
-zeros); convex polygons get a 5-point finite-difference Dirichlet solve.  On
-top of a Spectrum sit the counting function (strict inequality), Riesz means,
-heat traces with a certified tail bound, pointwise spectral functions for
-rectangles, and the Dirichlet/Neumann trace gap.
+Domains (Rectangle, Disk, geometry.ConvexPolygon) share area, perimeter, inradius,
+angles (None for the disk), corners() (not the disk), key() and spectrum(bc,
+lambda_max, h): lattice sums, Bessel zeros or 5-point FD.  On a Spectrum sit the
+counting function (strict inequality), Riesz means, heat traces with a certified
+tail bound, rectangle pointwise spectral functions and the Dirichlet/Neumann gap.
 """
 
 import json
@@ -17,7 +17,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.special import j0, j1, jv, jvp
 
 from .constants import DIRICHLET, NEUMANN, check_bc, lt_constant
-from .geometry import ConvexPolygon, inradius
+from .geometry import ConvexPolygon, corner_params
 
 # memory cap for analytic enumeration (number of eigenvalues)
 MAX_EIGENVALUES = 5_000_000
@@ -50,6 +50,7 @@ class ToleranceExceededError(RuntimeError):
 class Rectangle:
     a: float
     b: float
+    angles = (0.5 * math.pi,) * 4
 
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
@@ -63,13 +64,24 @@ class Rectangle:
     def perimeter(self):
         return 2.0 * (self.a + self.b)
 
+    @property
+    def inradius(self):
+        return 0.5 * min(self.a, self.b)
+
     def key(self):
         return {"shape": "rectangle", "a": self.a, "b": self.b}
+
+    def corners(self):
+        return corner_params(ConvexPolygon.rectangle(self.a, self.b))
+
+    def spectrum(self, bc, lambda_max, h=None):
+        return rectangle_spectrum(self.a, self.b, bc, lambda_max)
 
 
 @dataclass(frozen=True)
 class Disk:
     radius: float
+    angles = None
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -83,23 +95,19 @@ class Disk:
     def perimeter(self):
         return 2.0 * math.pi * self.radius
 
+    @property
+    def inradius(self):
+        return self.radius
+
     def key(self):
         return {"shape": "disk", "radius": self.radius}
 
+    def spectrum(self, bc, lambda_max, h=None):
+        return disk_spectrum(self.radius, bc, lambda_max)
 
-def _polygon_key(poly):
-    return {"shape": "polygon", "vertices": poly.vertices.tolist()}
 
-
-def domain_area(domain):
-    """Area of a serialized domain descriptor."""
-    if domain["shape"] == "rectangle":
-        return domain["a"] * domain["b"]
-    if domain["shape"] == "disk":
-        return math.pi * domain["radius"] ** 2
-    if domain["shape"] == "polygon":
-        return ConvexPolygon(domain["vertices"]).area
-    raise ValueError(f"unknown domain shape {domain['shape']!r}")
+# saved key's "shape" -> constructor taking the key's other entries
+_DOMAINS = {"rectangle": Rectangle, "disk": Disk, "polygon": ConvexPolygon}
 
 
 class Spectrum:
@@ -126,7 +134,8 @@ class Spectrum:
             raise ValueError("Neumann spectra on connected domains start at 0")
         self.eigenvalues = ev
         self.complete_below = float(complete_below)
-        self.domain = dict(domain)
+        self.domain = domain.key()
+        self.area = domain.area
         self.exact = bool(exact)
         if block_ids is None:
             block_ids = np.zeros(len(ev), dtype=int)
@@ -162,7 +171,11 @@ class Spectrum:
                 _, ev, blk = line.split(",")
                 evs.append(float(ev))
                 blks.append(int(blk))
-        return cls(evs, header["bc"], header["complete_below"], header["domain"],
+        key = header["domain"]
+        shape = key.pop("shape")
+        if shape not in _DOMAINS:
+            raise ValueError(f"unknown domain shape {shape!r}")
+        return cls(evs, header["bc"], header["complete_below"], _DOMAINS[shape](**key),
                    header["exact"], block_ids=blks)
 
 
@@ -202,7 +215,7 @@ def rectangle_spectrum(a, b, bc, lambda_max):
         raise ValueError("need a, b, lambda_max > 0")
     bc = check_bc(bc)
     ev = np.sort(_rectangle_modes(a, b, bc, lambda_max)[2])
-    return Spectrum(ev, bc, lambda_max, Rectangle(a, b).key(), exact=True)
+    return Spectrum(ev, bc, lambda_max, Rectangle(a, b), exact=True)
 
 
 def _bessel_sweep(x, first):
@@ -303,7 +316,7 @@ def disk_spectrum(radius, bc, lambda_max):
     if derivative:  # constant mode
         vals, blocks = np.concatenate(([0.0], vals)), np.concatenate(([0], blocks))
     order = np.argsort(vals, kind="stable")
-    return Spectrum(vals[order], bc, lambda_max, Disk(radius).key(), exact=True, block_ids=blocks[order])
+    return Spectrum(vals[order], bc, lambda_max, Disk(radius), exact=True, block_ids=blocks[order])
 
 
 def _ldlt(A, shift):
@@ -343,11 +356,9 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     be orthonormal.  A Ritz value within its residual of an interior cut moves that cut
     into a clear gap, which is recounted; a second ambiguity there raises.
     """
-    if not isinstance(poly, ConvexPolygon):
-        poly = ConvexPolygon(poly)
     if not h > 0:
         raise ValueError("h must be > 0")
-    r_in = inradius(poly)
+    r_in = poly.inradius
     if not h < 0.5 * r_in:
         raise ValueError(f"h = {h} must be smaller than half the inradius {r_in}")
     if not lambda_max > 0:
@@ -416,7 +427,7 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     gram = np.abs(vecs.T @ vecs - np.eye(num_eigs)).max(initial=0.0)
     if gram > 1e-8:
         raise RuntimeError(f"FD eigenvectors are not orthonormal: max |V^T V - I| = {gram:.3e}")
-    return Spectrum(vals, DIRICHLET, lambda_max, _polygon_key(poly), exact=False)
+    return Spectrum(vals, DIRICHLET, lambda_max, poly, exact=False)
 
 
 def counting_function(spec, lam):
@@ -446,11 +457,10 @@ def heat_trace(spec, t, tol=None):
     """
     if not t > 0:
         raise ValueError("t must be > 0")
-    volume = domain_area(spec.domain)
     ev = spec.eigenvalues[spec.eigenvalues < spec.complete_below]
     value = float(np.sum(np.exp(-t * ev)))
     x = t * spec.complete_below
-    tail = 16.0 * lt_constant(0, 2) * volume / t * (1.0 + x) * math.exp(-x)
+    tail = 16.0 * lt_constant(0, 2) * spec.area / t * (1.0 + x) * math.exp(-x)
     if tol is not None and tail > tol:
         raise ToleranceExceededError(f"heat-trace tail bound {tail:.3e} exceeds tolerance {tol:.3e}")
     return value, tail

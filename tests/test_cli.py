@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import weylab
+from weylab import cli
 from weylab.cli import main, parse_domain, parse_grid
 from weylab.constants import heat_polygon_error_bound
 from weylab.geometry import ConvexPolygon, corner_params, save_polygon
@@ -143,6 +144,42 @@ def test_heat_check_radius_comes_from_corner_params(tmp_path, capsys):
     alpha, big_r = corner_params(tri)
     for r in rep["results"]["rows"]:
         assert r["polygon_bound"] == heat_polygon_error_bound(r["t"], tri.area, 3, alpha, big_r)
+
+
+class _Forwarding:
+    """A domain of no weylab class: it only forwards the domain interface."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    area = property(lambda self: self._inner.area)
+    perimeter = property(lambda self: self._inner.perimeter)
+    inradius = property(lambda self: self._inner.inradius)
+    angles = property(lambda self: self._inner.angles)
+
+    def key(self):
+        return self._inner.key()
+
+    def corners(self):
+        return self._inner.corners()
+
+    def spectrum(self, bc, lambda_max, h=None):
+        return self._inner.spectrum(bc, lambda_max, h)
+
+
+def test_any_domain_with_the_interface_passes_through_the_cli(capsys, monkeypatch):
+    argvs = [["weyl-check", "--domain", "rect:1:2", "--lambda", "1e3:1e4:5log"],
+             ["weyl-check", "--domain", "rect:1:2", "--bc", "neumann", "--lambda", "1e3:1e4:5log"],
+             ["heat-check", "--domain", "rect:1:2", "--t", "0.01:0.04:4"]]
+    want = []
+    for argv in argvs:
+        assert main(argv) == 0
+        want.append(capsys.readouterr().out)
+    assert "polygon_bound" in want[-1]
+    monkeypatch.setattr(cli, "parse_domain", lambda text: _Forwarding(Rectangle(1.0, 2.0)))
+    for argv, w in zip(argvs, want):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == w
 
 
 def test_heat_check_disk(capsys):

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import weylab
@@ -51,3 +54,17 @@ def test_benchmark_span_targets_exist():
         if not callable(target):
             missing.append(f"{modname}.{qual}")
     assert not missing, f"benchmark span targets missing: {', '.join(missing)}"
+
+
+def test_geometry_imported_first_reaches_the_fd_solver():
+    # ConvexPolygon.spectrum imports spectra inside the call, because spectra
+    # imports geometry at load time; a fresh interpreter catches an import cycle
+    code = ("import weylab.geometry as g\n"
+            "s = g.ConvexPolygon.regular(6).spectrum('dirichlet', 200.0, 0.02)\n"
+            "print(len(s), s.exact, s.domain['shape'])")
+    src = str(Path(weylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    count, exact, shape = out.stdout.split()
+    assert int(count) > 0 and exact == "False" and shape == "polygon"

@@ -195,19 +195,40 @@ def test_heat_trace_tail_bound_is_honest():
 
 
 def test_spectrum_save_load_roundtrip(tmp_path):
-    spec = disk_spectrum(1.0, DIRICHLET, 60.0)
-    path = tmp_path / "disk.spec"
-    spec.save(path)
-    back = Spectrum.load(path)
-    assert np.array_equal(spec.eigenvalues, back.eigenvalues)
-    assert np.array_equal(spec.block_ids, back.block_ids)
-    assert back.domain == spec.domain
-    assert back.complete_below == spec.complete_below
-    assert back.exact
+    # the loaded spectrum rebuilds its domain from the saved key, so the heat
+    # trace (whose tail bound needs the area) comes back bit for bit
+    for name, spec in (("rect", rectangle_spectrum(1.0, 2.0, NEUMANN, 300.0)),
+                       ("disk", disk_spectrum(1.0, DIRICHLET, 60.0)),
+                       ("fd", ConvexPolygon.regular(6).spectrum(DIRICHLET, 200.0, 0.05))):
+        path = tmp_path / f"{name}.spec"
+        spec.save(path)
+        back = Spectrum.load(path)
+        assert np.array_equal(spec.eigenvalues, back.eigenvalues)
+        assert np.array_equal(spec.block_ids, back.block_ids)
+        assert back.domain == spec.domain
+        assert back.area == spec.area
+        assert back.complete_below == spec.complete_below
+        assert back.exact == spec.exact == (name != "fd")
+        for t in (0.01, 0.1):
+            assert heat_trace(back, t) == heat_trace(spec, t)
+    path = tmp_path / "rect.spec"
+    path.write_text(path.read_text().replace('"rectangle"', '"torus"'))
+    with pytest.raises(ValueError, match="unknown domain shape 'torus'"):
+        Spectrum.load(path)
+
+
+def test_rectangle_closed_forms_match_the_polygon_route():
+    rng = np.random.default_rng(16)
+    for a, b in np.exp(rng.uniform(-5.0, 3.0, (2000, 2))):
+        rect, poly = Rectangle(a, b), ConvexPolygon.rectangle(a, b)
+        for got, want in ((rect.area, poly.area), (rect.perimeter, poly.perimeter),
+                          (rect.inradius, poly.inradius)):
+            assert abs(got - want) <= 1e-15 * want, (a, b)
+        assert np.all(np.abs(np.subtract(rect.angles, poly.angles)) <= 1e-15 * poly.angles)
 
 
 def test_spectrum_validation():
-    dom = Rectangle(1.0, 1.0).key()
+    dom = Rectangle(1.0, 1.0)
     with pytest.raises(ValueError):
         Spectrum([1.0, 0.5], DIRICHLET, 2.0, dom, True)       # decreasing
     with pytest.raises(ValueError):
@@ -223,8 +244,10 @@ def test_spectrum_validation():
 def test_domain_dataclasses():
     r = Rectangle(2.0, 0.5)
     assert r.area == 1.0 and r.perimeter == 5.0
+    assert r.inradius == 0.25 and r.angles == (0.5 * math.pi,) * 4
     d = Disk(2.0)
     assert abs(d.area - 4.0 * math.pi) < 1e-14
+    assert d.inradius == 2.0 and d.angles is None
     with pytest.raises(ValueError):
         Rectangle(0.0, 1.0)
     with pytest.raises(ValueError):
