@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
-from scipy.special import roots_jacobi
 
 from .constants import check_bc, lt_constant
 from .spectra import _mode_amplitudes
@@ -19,10 +18,6 @@ TAB_HALF_WIDTH = 512.0     # padded tabulation window; the kernel envelope is ~1
 FFT_SIZE = 2**20           # alias period FFT_SIZE * TAB_STEP = 4096 >> 2 * TAB_HALF_WIDTH
 WINDOW_HALF_WIDTH = 128.0  # pointwise hierarchy evaluations are restricted to this window
 MAX_HIERARCHY_K = 8
-QUAD_RTOL = 1e-10          # adaptive Gauss-Legendre: a panel is accepted once
-QUAD_ATOL = 1e-13          # |G48 - G24| <= max(QUAD_ATOL, QUAD_RTOL |G48|) ...
-QUAD_MAX_DEPTH = 26        # ... or at this bisection depth
-QUAD_TOL = 1e-8            # largest accepted total quadrature error estimate
 STABILITY_TOL = 1e-9
 ENVELOPE_RATE = 1.66       # measured decay envelope phi(tau) <= SCALE exp(-RATE tau^POWER)
 ENVELOPE_POWER = 0.6
@@ -180,6 +175,15 @@ class AtomicMeasure:
     def purely_atomic(self):
         return self.K0 == 0.0
 
+    @property
+    def atoms_with_origin(self):
+        """The atoms plus the point mass at 0 as an atom of weight K0/2.
+
+        K0 f(s) = (K0/2) (f(s - 0) + f(s + 0)), so every term of the odd-extended
+        measure then has the one form w (f(s - a) + f(s + a)).
+        """
+        return self.atoms + (((0.0, 0.5 * self.K0),) if self.K0 else ())
+
 
 class PhiHierarchy:
     """The antiderivative chain phi_{k,eps} with its moments and coefficients.
@@ -205,7 +209,7 @@ class PhiHierarchy:
         self.family = family
         self.eps = float(eps)
         self.K = K
-        self._bpoly = self._chi_antiderivative_polys(K + 1)
+        self._bpoly = self._chi_antiderivative_polys(MAX_HIERARCHY_K + 1)
         self.moments = self._hierarchy_moments()
         self.b = self._b_recursion()
 
@@ -331,14 +335,12 @@ class PhiHierarchy:
 
     @staticmethod
     def _atom_sum(f, c, mu, sigma):
-        # sum_atoms w (f(sigma - s) + f(sigma + s) - c) + K0 (f(sigma) - c/2);
+        # sum w (f(sigma - s) + f(sigma + s) - c) over the atoms and the origin;
         # a constant c = 0 leaves every term unchanged bit for bit
         sigma = np.asarray(sigma, dtype=float)
         out = np.zeros(sigma.shape)
-        for s, w in mu.atoms:
+        for s, w in mu.atoms_with_origin:
             out = out + w * (f(sigma - s) + f(sigma + s) - c)
-        if mu.K0:
-            out = out + mu.K0 * (f(sigma) - 0.5 * c)
         return out
 
     def conv_distribution(self, k, mu, sigma):
@@ -353,6 +355,33 @@ class PhiHierarchy:
     def smoothed_distribution(self, mu, sigma):
         """chi_eps * N_mu for the atoms and the point mass at 0."""
         return self._atom_sum(self.chi_cdf, 1.0, mu, sigma)
+
+    def _conv_integral(self, level, k, mu, p, tau):
+        # int_0^tau p(s) (F * mu)(s) ds for a polynomial p, with F = phi_k (level k,
+        # as in conv_jump_measure) or Phi_k (level k + 1, as in conv_distribution).
+        # Each shift c in {a, -a} splits [0, tau] at c.  Right of c, F(s - c) is the
+        # right-half chain at s - c, and level + n is its n-th antiderivative.  Left
+        # of c, parity gives F(s - c) = (-1)^k phi_k(c - s), or (-1)^k (I_k -
+        # Phi_k(c - s)), whose chain in s is (-1)^n times the right-half chain at
+        # c - s; the constant I_k integrates as a polynomial.
+        sign = (-1.0) ** k
+        const = self.moments[k] if level == k + 1 else 0.0
+        left = sign if level == k else -sign
+        q = p.integ()
+        total = 0.0
+        for a, w in mu.atoms_with_origin:
+            part = -const * (q(tau) - q(0.0))
+            for c in (a, -a):
+                if c < tau:
+                    part += _by_parts(p, lambda n, s: self._right_half(level + n, k, s - c)[1],
+                                      max(c, 0.0), tau)
+                if c > 0.0:
+                    hi = min(c, tau)
+                    part += sign * const * (q(hi) - q(0.0)) + left * _by_parts(
+                        p, lambda n, s: (-1.0) ** n * self._right_half(level + n, k, c - s)[1],
+                        0.0, hi)
+            total += w * part
+        return total
 
 
 def _compositions(m):
@@ -373,78 +402,52 @@ def build_phi_hierarchy(fam, eps, K):
 # ---- smoothed Riesz means ------------------------------------------------------
 
 
-def _adaptive_quad(f, a, b, breakpoints=()):
-    """Composite Gauss-Legendre with bisection refinement; returns (value, error)."""
-    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    x24, w24 = _gl(24)
-    x48, w48 = _gl(48)
-    total, err = 0.0, 0.0
-    stack = [(pts[i], pts[i + 1], 0) for i in range(len(pts) - 1)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        coarse = half * float(w24 @ f(mid + half * x24))
-        fine = half * float(w48 @ f(mid + half * x48))
-        d = abs(fine - coarse)
-        if d <= max(QUAD_ATOL, QUAD_RTOL * (abs(fine) + 1e-30)) or depth >= QUAD_MAX_DEPTH:
-            total += fine
-            err += d
-        else:
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-    return total, err
+def _g_poly(m, tau):
+    # (1 - u^2)^(m-1) u at u = s / tau, as a polynomial in s
+    c = np.concatenate(([0.0], np.polynomial.polynomial.polypow([1.0, 0.0, -1.0], m - 1)))
+    return np.polynomial.Polynomial(c / tau ** np.arange(c.size))
 
 
-def _jacobi_tail(f, c, tau, gamma, n):
-    # integral over [c, tau] of (1-(s/tau)^2)^(gamma-1) f(s), weight absorbed at s=tau
-    x, w = roots_jacobi(n, gamma - 1.0, 0.0)
-    half = 0.5 * (tau - c)
-    s = c + half * (x + 1.0)
-    jac = (half / tau) ** (gamma - 1.0) * (1.0 + s / tau) ** (gamma - 1.0)
-    return half * float(np.sum(w * jac * f(s)))
-
-
-def _measure_breakpoints(mu, eps, tau):
-    pts = set()
-    for s, _ in mu.atoms:
-        for p in (s - eps, s, s + eps):
-            if 0.0 < p < tau:
-                pts.add(p)
-    if mu.K0 and 0.0 < eps < tau:
-        pts.add(eps)
-    return sorted(pts)
+def _by_parts(p, chain, x, y):
+    # int_x^y p F_0 = sum_r (-1)^r [p^(r) F_{r+1}]_x^y for a polynomial p and an
+    # antiderivative chain chain(n, s) = F_n(s), F_{n+1}' = F_n: the sum stops at
+    # r = deg p, so the integral is a handful of chain values at its two ends
+    ends = np.array([x, y])
+    total = 0.0
+    for r in range(p.degree() + 1):
+        v = p.deriv(r)(ends) * chain(r + 1, ends)
+        total += (-1.0) ** r * (v[1] - v[0])
+    return total
 
 
 def smoothed_riesz(mu, gamma, tau, eps, fam):
-    """R_{mu,eps}^gamma(tau) = (2 gamma / tau) integral of G_gamma(s/tau) chi_eps*N_mu."""
+    """R_{mu,eps}^gamma(tau) = (2 gamma / tau) integral of G_gamma(s/tau) chi_eps*N_mu.
+
+    gamma must be an integer >= 1, so that G_gamma(u) = (1 - u^2)^(gamma-1) u is a
+    polynomial.  chi is even, so chi_eps*N_mu(s) = sum_a w (B_1(s - a) - B_1(-s - a))
+    with the point mass at 0 an atom of weight K0/2, and the integral is a finite
+    sum of B-chain values at 0 and tau.  Atoms whose band lies beyond tau add an
+    exact zero.
+    """
     if not tau > 0:
         raise ValueError("tau must be > 0")
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
+    if not (float(gamma).is_integer() and gamma >= 1):
+        raise ValueError("gamma must be an integer >= 1")
+    m = int(gamma)
     h = build_phi_hierarchy(fam, eps, 0)
-    smooth_n = lambda s: h.smoothed_distribution(mu, s)
-    breaks = _measure_breakpoints(mu, eps, tau)
-    cut = max([7.0 * tau / 8.0] + [p for p in breaks if p < tau])
-    body = lambda s: (1.0 - (s / tau) ** 2) ** (gamma - 1.0) * (s / tau) * smooth_n(s)
-    val, err = _adaptive_quad(body, 0.0, cut, breakpoints=breaks)
-    tol = QUAD_TOL * max(1.0, abs(val))
-    if err > tol:
-        raise RuntimeError(f"quadrature did not converge: estimate {err:.2e} > {tol:.2e}")
-    tail_f = lambda s: (s / tau) * smooth_n(s)
-    val += _jacobi_tail(tail_f, cut, tau, gamma, 64)
-    return 2.0 * gamma / tau * val
+    p = _g_poly(m, tau)
+    total = 0.0
+    for a, w in mu.atoms_with_origin:
+        total += w * (_by_parts(p, lambda n, s: h._B(n + 1, s - a), 0.0, tau)
+                      + _by_parts(p, lambda n, s: (-1.0) ** (n + 1) * h._B(n + 1, -s - a),
+                                  0.0, tau))
+    return 2.0 * m / tau * total
 
 
 # ---- the iterated integration-by-parts identity ---------------------------------
 
 
-def _g_poly(m):
-    # ascending coefficients of (1-u^2)^(m-1) * u
-    c = np.polynomial.polynomial.polypow([1.0, 0.0, -1.0], m - 1)
-    return np.concatenate(([0.0], c))
-
-
-def _identity_sides(mu, m, eps, tau, fam, quad_tol=QUAD_TOL):
+def _identity_sides(mu, m, eps, tau, fam):
     if m not in (1, 2):
         raise ValueError("the iterated identity is checked for m in {1, 2}")
     if not tau > 0:
@@ -453,29 +456,16 @@ def _identity_sides(mu, m, eps, tau, fam, quad_tol=QUAD_TOL):
         raise ValueError("identity check requires a purely atomic odd-extended measure")
     h = build_phi_hierarchy(fam, eps, m + 1)
     lhs = smoothed_riesz(mu, m, tau, eps, fam)
-    gc = _g_poly(m)
-    dpoly = [gc]
-    for _ in range(m):
-        dpoly.append(np.polynomial.polynomial.polyder(dpoly[-1]))
-    breaks = [s for s, _ in mu.atoms if 0.0 < s < tau]
-    rhs, achieved = 0.0, 0.0
+    p = _g_poly(m, tau)
+    rhs = 0.0
     for j in range(0, m + 1, 2):
-        bj = h.b[j]
-        f1 = lambda s: (np.polynomial.polynomial.polyval(s / tau, dpoly[j])
-                        * h.conv_distribution(0, mu, s))
-        v1, e1 = _adaptive_quad(f1, 0.0, tau, breakpoints=breaks)
-        rhs += 2.0 * m * bj * tau ** (-j - 1) * v1
-        f2 = lambda s, kk=m + 1 - j: (np.polynomial.polynomial.polyval(s / tau, dpoly[m])
-                                      * h.conv_jump_measure(kk, mu, s))
-        v2, e2 = _adaptive_quad(f2, 0.0, tau, breakpoints=breaks)
-        rhs -= 2.0 * m * (-1.0) ** m * bj * tau ** (-m - 1) * v2
-        achieved += abs(2.0 * m * bj) * (tau ** (-j - 1) * e1 + tau ** (-m - 1) * e2)
+        kk = m + 1 - j
+        rhs += 2.0 * m * h.b[j] / tau * (
+            h._conv_integral(1, 0, mu, p.deriv(j), tau)
+            - (-1.0) ** m * h._conv_integral(kk, kk, mu, p.deriv(m), tau))
     for j in range(0, m, 2):
         rhs -= (2.0**m * math.factorial(m) * h.b[j] * tau**-m
                 * float(h.conv_distribution(m - j, mu, np.array([tau]))[0]))
-    if achieved > quad_tol:
-        raise RuntimeError(
-            f"quadrature did not converge: achieved {achieved:.2e} > requested {quad_tol:g}")
     return lhs, rhs
 
 
