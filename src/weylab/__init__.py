@@ -15,14 +15,12 @@ from .riesz import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, SampledFunction,
                     interpolation_constant, riesz_lift, riesz_interpolation_certificate,
                     semigroup_check)
 from .spectra import (CapacityError, CertifiedRangeError, Disk,
-                      InsufficientResolutionError, Rectangle, Spectrum,
-                      ToleranceExceededError, counting_function,
+                      InsufficientResolutionError, Rectangle, Spectrum, counting_function,
                       dirichlet_neumann_trace_gap, disk_spectrum, heat_trace,
                       pointwise_spectral_function, polygon_dirichlet_spectrum_fd,
                       rectangle_spectrum, riesz_mean)
 from .smoothing import (AtomicMeasure, MollifierFamily, PhiHierarchy, build_mollifier,
                         build_phi_hierarchy, iterated_identity_report,
-                        reflection_heat_bound, smoothed_riesz, tauberian_order_check,
-                        verify_iterated_identity)
+                        reflection_heat_bound, smoothed_riesz, tauberian_order_check)
 from .shapeopt import (OptimizationRun, optimize_rectangle, rectangle_riesz_objective,
                        symmetry_trend, write_trace_csv)

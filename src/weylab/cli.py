@@ -16,8 +16,8 @@ from .constants import (DIRICHLET, check_bc, corner_sum, error_envelope,
                         heat_polygon_error_bound, heat_polygon_prediction,
                         heat_two_term_prediction, lt_constant, one_term_prediction,
                         three_term_polygon_prediction, two_term_prediction)
-from .geometry import (bishop_gromov_profile, distance_level_volume, load_polygon,
-                       random_convex_polygon, theta_omega)
+from .geometry import (bishop_gromov_profile, chebyshev_center, distance_level_volume,
+                       load_polygon, random_convex_polygon, theta_omega)
 from .shapeopt import optimize_rectangle, symmetry_trend, write_trace_csv
 from .smoothing import (AtomicMeasure, build_mollifier, build_phi_hierarchy,
                         iterated_identity_report, tauberian_order_check)
@@ -148,7 +148,7 @@ def cmd_heat_check(args):
             bound = heat_polygon_error_bound(t, dom.area, len(dom.angles), alpha_min, big_r)
             r.update({"polygon_prediction": pred, "polygon_bound": bound,
                       "deviation": theta - pred,
-                      "within_bound": bool(abs(theta - pred) <= 10.0 * bound + tail)})
+                      "within_bound": bool(abs(theta - pred) <= bound + tail)})
         rows.append(r)
     out = {"rows": rows}
     if polygonal:
@@ -202,7 +202,7 @@ def cmd_geometry(args):
     worst = {"level_volume_bound": 0.0, "theta_vs_perimeter": 0.0, "bishop_gromov": 0.0}
     for _ in range(args.count):
         poly = random_convex_polygon(rng)
-        center, r_in = poly.chebyshev()
+        center, r_in = chebyshev_center(poly)
         for f in (0.15, 0.5, 0.9):
             s = f * r_in
             gap = distance_level_volume(poly, s) - s * poly.perimeter

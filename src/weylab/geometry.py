@@ -87,10 +87,6 @@ class ConvexPolygon:
         """The last collapse time of the (cached) edge-collapse schedule."""
         return self._schedule.radius
 
-    def chebyshev(self):
-        """(center copy, inradius) from the cached edge-collapse schedule."""
-        return chebyshev_center(self)
-
     def key(self):
         return {"shape": "polygon", "vertices": self.vertices.tolist()}
 
@@ -208,31 +204,6 @@ def chebyshev_center(poly):
 
 def inradius(poly):
     return poly.inradius
-
-
-def _sanitize_loop(points, scale):
-    """Drop duplicate and collinear vertices from a convex CCW loop."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    out = []
-    for p in pts:
-        if not out or np.hypot(*(p - out[-1])) > 1e-11 * max(scale, 1e-30):
-            out.append(p)
-    if len(out) >= 2 and np.hypot(*(out[0] - out[-1])) <= 1e-11 * max(scale, 1e-30):
-        out.pop()
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        for i in range(len(out)):
-            a, b, c = out[i - 1], out[i], out[(i + 1) % len(out)]
-            u, w = b - a, c - b
-            lu, lw = np.hypot(*u), np.hypot(*w)
-            if lu * lw == 0 or _cross(u, w) <= 1e-11 * lu * lw:
-                out.pop(i)
-                changed = True
-                break
-    if len(out) < 3:
-        return None
-    return np.array(out)
 
 
 def _inner_body(poly, s):
@@ -408,11 +379,8 @@ def random_convex_polygon(rng, scale=1.0):
             hull = ConvexHull(pts)
         except QhullError:  # degenerate point set: draw again
             continue
-        loop = _sanitize_loop(pts[hull.vertices], scale)
-        if loop is None:
-            continue
         try:
-            return ConvexPolygon(loop)
-        except ValueError:
+            return ConvexPolygon(pts[hull.vertices])
+        except ValueError:  # near-degenerate hull: draw again
             continue
     raise RuntimeError("failed to generate a random convex polygon")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DIRICHLET, check_bc
-from .spectra import _expand
+from .spectra import _expand, _first_index
 
 ASPECT_RANGE = (0.05, 1.0)
 MAX_EVALUATIONS = 20000    # branch-and-bound evaluation cap; the gap is reported either way
@@ -69,10 +69,6 @@ class OptimizationRun:
 # the eigenvalues are lambda_mn(rho) = s (m^2 rho + n^2 / rho), m, n >= lo.
 
 
-def _first_index(bc):
-    return 1 if bc == DIRICHLET else 0
-
-
 def _row_top(t, rho, s):
     """Largest n with s n^2 / rho < t, row by row (lo - 1 or less when none)."""
     n = np.floor(np.sqrt(np.maximum(t, 0.0) * rho / s))
@@ -115,17 +111,22 @@ def rectangle_riesz_objective(rho, lam, gamma, bc, area=1.0):
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     bc = check_bc(bc)
-    lo, s = _first_index(bc), math.pi**2 / area
-    m, sm2 = _rows(lam, rho, bc, s)
+    s = math.pi**2 / area
+    return _lattice_sample(rho, lam, gamma, bc, s, *_rows(lam, rho, bc, s))[0]
+
+
+def _lattice_sample(rho, lam, gamma, bc, s, m, sm2):
+    """(Riesz mean, row tops) at aspect rho over the rows m with s m^2 = sm2."""
+    lo = _first_index(bc)
     t = lam - sm2 * rho
     top = _row_top(t, rho, s)
     cnt = np.maximum(top - lo + 1.0, 0.0)
     if gamma == 0:
-        return float(np.sum(cnt))
+        return float(np.sum(cnt)), top
     if gamma == 1:
-        return float(np.sum(cnt * t - s / rho * _sq_sum(top)))
+        return float(np.sum(cnt * t - s / rho * _sq_sum(top))), top
     mm, n = _expand(m, top, lo)
-    return float(np.sum((lam - s * (mm * mm * rho + n * n / rho)) ** gamma))
+    return float(np.sum((lam - s * (mm * mm * rho + n * n / rho)) ** gamma)), top
 
 
 def _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, s, rows):
@@ -263,12 +264,15 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
         raise ValueError("gamma must be >= 0")
     sign, s = 1.0 if bc == DIRICHLET else -1.0, math.pi**2
     rows = _row_data(lam, bc, s)
+    lo = _first_index(bc)
     trace = []
 
     def f(rho):
-        val = rectangle_riesz_objective(rho, lam, gamma, bc)
+        # rho's own rows are a prefix of the run's rows, bit for bit what _rows gives
+        k = math.floor(math.sqrt(lam / (s * rho))) + 2 - lo
+        val, tops = _lattice_sample(rho, lam, gamma, bc, s, rows[0][:k], rows[1][:k])
         trace.append((float(rho), val))
-        return sign * val, _row_top(lam - _rows(lam, rho, bc, s)[1] * rho, rho, s)
+        return sign * val, tops
 
     def bound(p, q, fp, fq):
         return _rectangle_bound(p, q, fp, fq, lam, gamma, bc, rows)

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
 from .constants import check_bc, lt_constant
-from .spectra import _mode_amplitudes
+from .spectra import pointwise_spectral_function
 
 GEVREY_POWER = 1.5         # steepness of the spectral-profile bump (frozen by a decay scan)
 GEVREY_SCALE = 4.0
@@ -24,11 +24,6 @@ ENVELOPE_POWER = 0.6
 ENVELOPE_SCALE = 16.0
 
 
-@functools.cache
-def _gl(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _spline_half_moments(spline):
     # int_0^inf u^j S(u) du for every j <= MAX_HIERARCHY_K, S the phi spline:
     # a 6-point Gauss rule per cubic piece is exact up to degree 3 + 8, so the
@@ -37,7 +32,7 @@ def _spline_half_moments(spline):
     # at one grid-sized array each.
     c = spline.c
     moments = np.zeros(MAX_HIERARCHY_K + 1)
-    for x, w in zip(*_gl(6)):
+    for x, w in zip(*np.polynomial.legendre.leggauss(6)):
         t = 0.5 * TAB_STEP * (x + 1.0)
         p = 0.5 * TAB_STEP * w * (((c[0] * t + c[1]) * t + c[2]) * t + c[3])
         u = spline.x[:-1] + t
@@ -75,7 +70,7 @@ class MollifierFamily:
         self._cos_coef = self._norm * wq * profile / math.pi
         # chi = normalized bump; keep the raw Gauss rule so sub-interval integrals
         # against chi can be formed with any smooth integrand later
-        xc, wc = _gl(400)
+        xc, wc = np.polynomial.legendre.leggauss(400)
         raw = np.exp(-1.0 / (1.0 - xc**2))
         self._chi_norm = 1.0 / float(np.sum(wc * raw))
         self._chi_nodes = xc
@@ -469,12 +464,6 @@ def _identity_sides(mu, m, eps, tau, fam):
     return lhs, rhs
 
 
-def verify_iterated_identity(mu, m, eps, tau, fam):
-    """Absolute difference between the smoothed Riesz mean and its three-sum expansion."""
-    lhs, rhs = _identity_sides(mu, m, eps, tau, fam)
-    return abs(lhs - rhs)
-
-
 def iterated_identity_report(mu, m, eps, tau, fam):
     lhs, rhs = _identity_sides(mu, m, eps, tau, fam)
     return {"m": int(m), "eps": float(eps), "tau": float(tau),
@@ -527,15 +516,9 @@ def tauberian_order_check(rect, bc, x, gamma, lambda_grid):
     if dev > bound * (1.0 + 1e-12):
         raise RuntimeError("reflection heat bound violated; spectra untrustworthy")
 
-    amp, ev = _mode_amplitudes(rect, x, lam[-1] * (1.0 + 1e-9), bc)
     main_c = lt_constant(gamma, 2)
-    rem = np.empty(lam.size)
-    for i, l in enumerate(lam):
-        if gamma > 0:
-            val = float(amp @ np.clip(l - ev, 0.0, None) ** gamma)
-        else:
-            val = float(amp @ (ev < l))
-        rem[i] = abs(val - main_c * l ** (gamma + 1.0))
+    vals = pointwise_spectral_function(rect, x, lam, gamma, bc)
+    rem = np.array([abs(v - main_c * l ** (gamma + 1.0)) for v, l in zip(vals, lam)])
 
     edges = np.geomspace(lam[0], lam[-1] * (1.0 + 1e-12), 13)
     block = np.clip(np.digitize(lam, edges) - 1, 0, 11)

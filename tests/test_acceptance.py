@@ -13,12 +13,11 @@ import numpy as np
 from weylab import (AtomicMeasure, ConvexPolygon, Rectangle, SampledFunction,
                     bishop_gromov_profile, build_mollifier, build_phi_hierarchy,
                     chebyshev_center, distance_level_volume, heat_polygon_error_bound,
-                    heat_polygon_prediction, heat_trace, inradius, lt_constant,
-                    minkowski_ball_area, optimize_rectangle,
+                    heat_polygon_prediction, heat_trace, inradius, iterated_identity_report,
+                    lt_constant, minkowski_ball_area, optimize_rectangle,
                     polygon_dirichlet_spectrum_fd, random_convex_polygon,
                     rectangle_spectrum, riesz_interpolation_certificate, riesz_mean,
-                    semigroup_check, tauberian_order_check, theta_omega,
-                    verify_iterated_identity, DIRICHLET, NEUMANN)
+                    semigroup_check, tauberian_order_check, theta_omega, DIRICHLET, NEUMANN)
 
 SQUARE = Rectangle(1.0, 1.0)
 
@@ -170,7 +169,7 @@ def test_09_iterated_identity_and_coefficients():
     for mu in measures:
         for m in (1, 2):
             for eps in (0.1, 0.05):
-                worst = max(worst, verify_iterated_identity(mu, m, eps, 3.0, fam))
+                worst = max(worst, iterated_identity_report(mu, m, eps, 3.0, fam)["residual"])
     hier = build_phi_hierarchy(fam, 0.1, 6)
     closed = hier.b_closed_form()
     b_gap = max(abs(hier.b[m] - closed[m]) for m in range(7))

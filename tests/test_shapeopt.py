@@ -121,14 +121,14 @@ def test_padded_tops_are_the_tops_on_the_longer_rows():
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5])
 def test_row_tops_once_per_sampled_aspect(monkeypatch, gamma):
-    # each evaluation computes row tops twice: in the objective and in the
-    # row data that both neighbouring interval bounds share
+    # each evaluation computes its row tops once, in the one lattice pass that
+    # gives the objective and the tops both neighbouring interval bounds share
     calls = []
     row_top = shapeopt._row_top
     monkeypatch.setattr(shapeopt, "_row_top", lambda *a: calls.append(1) or row_top(*a))
     run = optimize_rectangle(1e4, gamma, DIRICHLET)
     assert run.certified_gap <= 1e-12
-    assert len(calls) <= 2 * len(run.optimizer_trace)
+    assert len(calls) == len(run.optimizer_trace)
 
 
 def test_objective_guards():

@@ -9,8 +9,8 @@ from scipy.interpolate import CubicSpline
 
 from weylab import (AtomicMeasure, MollifierFamily, PhiHierarchy, Rectangle,
                     build_mollifier, build_phi_hierarchy, reflection_heat_bound,
-                    smoothed_riesz, tauberian_order_check, verify_iterated_identity,
-                    iterated_identity_report, DIRICHLET, NEUMANN)
+                    smoothed_riesz, tauberian_order_check, iterated_identity_report,
+                    DIRICHLET, NEUMANN)
 from weylab import smoothing
 from weylab.cli import cmd_tauberian_demo
 from weylab.smoothing import (ENVELOPE_POWER, ENVELOPE_RATE, ENVELOPE_SCALE,
@@ -317,13 +317,13 @@ def test_identity_residuals_catch_a_perturbed_b2(monkeypatch):
     monkeypatch.setattr(smoothing, "build_phi_hierarchy", perturbed)
     mu = AtomicMeasure(atoms=((1.0, 1.0),))
     for eps, tau in ((0.1, 3.0), (0.05, 5.0)):
-        assert verify_iterated_identity(mu, 2, eps, tau, FAM) > 1e-12, f"eps={eps}"
+        assert iterated_identity_report(mu, 2, eps, tau, FAM)["residual"] > 1e-12, f"eps={eps}"
 
 
 def test_iterated_identity_residuals():
     mu = AtomicMeasure(atoms=((1.0, 1.0),))
-    assert verify_iterated_identity(mu, 1, 0.1, 3.0, FAM) < 1e-6
-    assert verify_iterated_identity(mu, 2, 0.1, 3.0, FAM) < 1e-5
+    assert iterated_identity_report(mu, 1, 0.1, 3.0, FAM)["residual"] < 1e-6
+    assert iterated_identity_report(mu, 2, 0.1, 3.0, FAM)["residual"] < 1e-5
     rep = iterated_identity_report(mu, 1, 0.1, 3.0, FAM)
     assert set(rep) == {"m", "eps", "tau", "lhs", "rhs", "residual"}
     assert abs(rep["lhs"] - rep["rhs"]) == rep["residual"]
@@ -331,17 +331,17 @@ def test_iterated_identity_residuals():
 
 def test_iterated_identity_zero_measure():
     mu = AtomicMeasure(atoms=((1.0, 0.0),))
-    assert verify_iterated_identity(mu, 1, 0.1, 3.0, FAM) == 0.0
+    assert iterated_identity_report(mu, 1, 0.1, 3.0, FAM)["residual"] == 0.0
 
 
 def test_iterated_identity_guards():
     mu = AtomicMeasure(atoms=((1.0, 1.0),))
     with pytest.raises(ValueError):
-        verify_iterated_identity(mu, 3, 0.1, 3.0, FAM)
+        iterated_identity_report(mu, 3, 0.1, 3.0, FAM)
     with pytest.raises(ValueError):
-        verify_iterated_identity(mu, 1, 0.1, -1.0, FAM)
+        iterated_identity_report(mu, 1, 0.1, -1.0, FAM)
     with pytest.raises(ValueError):
-        verify_iterated_identity(AtomicMeasure(K0=1.0), 1, 0.1, 3.0, FAM)
+        iterated_identity_report(AtomicMeasure(K0=1.0), 1, 0.1, 3.0, FAM)
 
 
 def test_reflection_heat_bound():

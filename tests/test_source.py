@@ -39,6 +39,24 @@ def test_no_global_warning_or_floating_point_switches():
     assert not found, f"global warning switches in weylab: {', '.join(found)}"
 
 
+def test_only_benchmarked_caches():
+    # a cache stays only where the bench shows it pays: build_mollifier shares the
+    # one family across a process, and ConvexPolygon._schedule serves the center,
+    # inradius and inner parallel bodies of one polygon from one pass.  A new cache
+    # joins this list together with its bench evidence.
+    allowed = {"smoothing.py:build_mollifier", "geometry.py:_schedule"}
+    caches = {"cache", "lru_cache", "cached_property"}
+    found = set()
+    for path, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in caches:
+                    found.add(f"{path.name}:{node.name}")
+    assert found <= allowed, f"unbenchmarked caches in weylab: {', '.join(sorted(found - allowed))}"
+
+
 def test_benchmark_span_targets_exist():
     # perfbench/spans.py wraps these functions and methods by name, and a traced
     # run raises on a missing one; catch a deletion here instead

@@ -8,8 +8,7 @@ from scipy.special import jn_zeros, jnp_zeros
 
 from weylab import spectra
 from weylab import (CapacityError, CertifiedRangeError, ConvexPolygon, Disk,
-                    InsufficientResolutionError, Rectangle, Spectrum,
-                    ToleranceExceededError, counting_function,
+                    InsufficientResolutionError, Rectangle, Spectrum, counting_function,
                     dirichlet_neumann_trace_gap, disk_spectrum, heat_trace,
                     pointwise_spectral_function, polygon_dirichlet_spectrum_fd,
                     rectangle_spectrum, riesz_mean, DIRICHLET, NEUMANN)
@@ -188,8 +187,6 @@ def test_heat_trace_tail_bound_is_honest():
         th_full, _ = heat_trace(full, t)
         th_cut, tail_cut = heat_trace(cut, t)
         assert abs(th_full - th_cut) <= tail_cut
-    with pytest.raises(ToleranceExceededError):
-        heat_trace(cut, 0.001, tol=1e-12)
     with pytest.raises(ValueError):
         heat_trace(full, 0.0)
 
@@ -443,6 +440,43 @@ def test_pointwise_spectral_function_center_values():
         pointwise_spectral_function(rect, (0.0, 0.5), 50.0, 0.0, DIRICHLET)
     with pytest.raises(ValueError):
         pointwise_spectral_function(rect, (0.5, 0.5), 50.0, -1.0, DIRICHLET)
+
+
+def _pointwise_by_double_loop(a, b, x, lam, gamma, bc):
+    """sum over (m, n) of |u_mn(x)|^2 (lam - lambda_mn)_+^gamma, one mode at a time."""
+    lo = 1 if bc == DIRICHLET else 0
+    total = 0.0
+    for m in range(lo, int(a * math.sqrt(lam) / math.pi) + 2):
+        for n in range(lo, int(b * math.sqrt(lam) / math.pi) + 2):
+            ev = PI2 * (m * m / (a * a) + n * n / (b * b))
+            if ev >= lam:
+                continue
+            if bc == DIRICHLET:
+                u2 = (2.0 / a * math.sin(m * math.pi * x[0] / a) ** 2
+                      * 2.0 / b * math.sin(n * math.pi * x[1] / b) ** 2)
+            else:
+                u2 = ((2.0 if m else 1.0) / a * math.cos(m * math.pi * x[0] / a) ** 2
+                      * (2.0 if n else 1.0) / b * math.cos(n * math.pi * x[1] / b) ** 2)
+            total += u2 * (lam - ev) ** gamma
+    return total
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5])
+def test_pointwise_spectral_function_on_a_grid(bc, gamma):
+    # one enumeration serves the whole grid; each value matches its scalar call
+    # and an independent mode-by-mode sum of the normalized eigenfunctions
+    a, b, x = 1.3, 0.7, (0.41, 0.23)
+    rect = Rectangle(a, b)
+    lams = np.array([37.3, 211.9, 804.1, 2456.7, 3001.3])
+    vals = pointwise_spectral_function(rect, x, lams, gamma, bc)
+    assert vals.shape == lams.shape
+    for lam, v in zip(lams, vals):
+        scalar = pointwise_spectral_function(rect, x, lam, gamma, bc)
+        assert isinstance(scalar, float)
+        assert abs(v - scalar) <= 1e-12 * abs(scalar)
+        ref = _pointwise_by_double_loop(a, b, x, lam, gamma, bc)
+        assert ref > 0.0 and abs(v - ref) <= 1e-12 * ref, (lam, v, ref)
 
 
 def test_trace_gap_sign_and_guards():
