@@ -178,7 +178,7 @@ def cmd_pointwise_check(args):
 
 def cmd_tauberian_demo(args):
     fam = build_mollifier()
-    hier = build_phi_hierarchy(fam, args.eps, 6)
+    hier = build_phi_hierarchy(fam, args.eps)
     closed = hier.b_closed_form()
     b_rows = [{"m": m, "b": hier.b[m], "closed_form_gap": abs(hier.b[m] - closed[m])}
               for m in range(7)]
@@ -323,7 +323,7 @@ def main(argv=None):
         report = {"command": args.command, "version": __version__,
                   "config": _config_dict(args), "results": results}
         text = json.dumps(report, indent=2)
-        if getattr(args, "out", None) and args.command != "spectrum":
+        if args.out and args.command != "spectrum":
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         else:

@@ -100,7 +100,7 @@ def rectangle_riesz_objective(rho, lam, gamma, bc, area=1.0):
     Aspect rho means sides (area/rho)^(1/2) x (area*rho)^(1/2); the constraint
     |Omega| = area is enforced exactly by construction.  The sum runs row by row
     over the lattice without building or sorting a spectrum: in closed form via
-    sum n^2 at gamma = 1, as a count at gamma = 0, term by term otherwise.
+    sum n^2 at gamma = 1, term by term otherwise.
     """
     if not rho > 0:
         raise ValueError("aspect ratio must be > 0")
@@ -120,10 +120,8 @@ def _lattice_sample(rho, lam, gamma, bc, s, m, sm2):
     lo = _first_index(bc)
     t = lam - sm2 * rho
     top = _row_top(t, rho, s)
-    cnt = np.maximum(top - lo + 1.0, 0.0)
-    if gamma == 0:
-        return float(np.sum(cnt)), top
     if gamma == 1:
+        cnt = np.maximum(top - lo + 1.0, 0.0)
         return float(np.sum(cnt * t - s / rho * _sq_sum(top))), top
     mm, n = _expand(m, top, lo)
     return float(np.sum((lam - s * (mm * mm * rho + n * n / rho)) ** gamma)), top

@@ -17,11 +17,7 @@ TAB_STEP = 1.0 / 256.0
 TAB_HALF_WIDTH = 512.0     # padded tabulation window; the kernel envelope is ~1e-30 out here
 FFT_SIZE = 2**20           # alias period FFT_SIZE * TAB_STEP = 4096 >> 2 * TAB_HALF_WIDTH
 WINDOW_HALF_WIDTH = 128.0  # pointwise hierarchy evaluations are restricted to this window
-MAX_HIERARCHY_K = 8
-STABILITY_TOL = 1e-9
-ENVELOPE_RATE = 1.66       # measured decay envelope phi(tau) <= SCALE exp(-RATE tau^POWER)
-ENVELOPE_POWER = 0.6
-ENVELOPE_SCALE = 16.0
+MAX_HIERARCHY_K = 8        # top level of every hierarchy (see PhiHierarchy)
 
 
 def _spline_half_moments(spline):
@@ -75,6 +71,9 @@ class MollifierFamily:
         self._chi_norm = 1.0 / float(np.sum(wc * raw))
         self._chi_nodes = xc
         self._chi_glweights = wc
+        self._chi_moments = tuple(
+            0.0 if k % 2 else float(np.sum(wc * raw * xc**k) * self._chi_norm)
+            for k in range(MAX_HIERARCHY_K + 1))
         # everything is tabulated on the right half-line and extended by parity,
         # so evenness/oddness of the hierarchy is structural, not approximate
         n_half = int(round(TAB_HALF_WIDTH / TAB_STEP))
@@ -117,21 +116,8 @@ class MollifierFamily:
         return self.psi(tau) ** 2
 
     def chi_moment(self, k):
-        """k-th moment of the unit-scale bump; odd moments vanish by symmetry."""
-        if k % 2 == 1:
-            return 0.0
-        raw = np.exp(-1.0 / (1.0 - self._chi_nodes**2))
-        return float(np.sum(self._chi_glweights * raw * self._chi_nodes**k) * self._chi_norm)
-
-    def stability_estimate(self, K):
-        """Crude K-fold truncation bound env(T) (2T)^K / K! for the padded window.
-
-        Uses the frozen decay envelope rather than the tabulated endpoint: out
-        there psi is below the roundoff of the FFT sum (~1e-17), so the tabulated
-        value bounds nothing.
-        """
-        edge = ENVELOPE_SCALE * math.exp(-ENVELOPE_RATE * TAB_HALF_WIDTH ** ENVELOPE_POWER)
-        return edge * (2.0 * TAB_HALF_WIDTH) ** K / math.factorial(K)
+        """k-th moment (k <= MAX_HIERARCHY_K) of the unit-scale bump; odd ones vanish."""
+        return self._chi_moments[k]
 
 
 @functools.cache
@@ -181,68 +167,42 @@ class AtomicMeasure:
 
 
 class PhiHierarchy:
-    """The antiderivative chain phi_{k,eps} with its moments and coefficients.
+    """The antiderivative chain phi_{k,eps}, k <= MAX_HIERARCHY_K, with its moments and b.
 
     Exact decomposition on the tabulated window: phi_k = A_k - sum_{j even < k}
     I_j B_{k-j}, where A_k is the k-fold antiderivative of the phi spline and B_i
-    the i-fold antiderivative of chi_eps (closed polynomial beyond the bump,
-    Gauss quadrature across it).  Hierarchies are immutable values: the moments,
-    b and phi_k for k <= K do not depend on K.
+    the i-fold antiderivative of chi_eps.  The chain stops at MAX_HIERARCHY_K = 8:
+    the crude truncation bound env(T) (2T)^k / k! of the padded window T =
+    TAB_HALF_WIDTH, env the kernel's measured decay envelope, is 1.7e-10 at k = 8
+    and 2.0e-8 at k = 9.
     """
 
-    def __init__(self, family, eps, K):
+    def __init__(self, family, eps):
         if not 0.0 < eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-        K = int(K)
-        if K < 0:
-            raise ValueError("K must be >= 0")
-        est = family.stability_estimate(max(K, 1))
-        if K > MAX_HIERARCHY_K or est > STABILITY_TOL:
-            raise ValueError(
-                f"requested K={K} beyond tabulation stability: estimated "
-                f"truncation {est:.3e} exceeds {STABILITY_TOL:g}")
         self.family = family
         self.eps = float(eps)
-        self.K = K
-        self._bpoly = self._chi_antiderivative_polys(MAX_HIERARCHY_K + 1)
         self.moments = self._hierarchy_moments()
         self.b = self._b_recursion()
 
     # ---- chi_eps antiderivatives ---------------------------------------------
 
-    def _chi_antiderivative_polys(self, imax):
-        # B_i(tau) for tau >= eps equals a degree i-1 polynomial fixed by the
-        # bump moments (Cauchy repeated-integration kernel (tau-u)^{i-1}/(i-1)!)
-        polys = [None]
-        mom = [self.family.chi_moment(k) * self.eps**k for k in range(imax)]
-        for i in range(1, imax + 1):
-            coef = np.zeros(i)
-            for k in range(i):
-                coef[k] = math.comb(i - 1, k) * (-1.0) ** k * mom[k] / math.factorial(i - 1)
-            polys.append(coef)  # ascending powers tau^{i-1-k} stored reversed below
-        return polys
-
     def _B(self, i, tau):
+        # B_i(tau) = int_{-eps}^{min(tau, eps)} (tau - u)^{i-1}/(i-1)! chi_eps(u) du
+        # (Cauchy's repeated-integration kernel) by the family's Gauss rule mapped
+        # onto the part of the bump left of tau
         tau = np.asarray(tau, dtype=float)
         out = np.zeros(tau.shape)
         eps, fam = self.eps, self.family
-        coef = self._bpoly[i]
-        right = tau >= eps
-        if np.any(right):
-            t = tau[right]
-            acc = np.zeros(t.shape)
-            for k in range(i):
-                acc += coef[k] * t ** (i - 1 - k)
-            out[right] = acc
-        mid = (~right) & (tau > -eps)
-        if np.any(mid):
-            t = tau[mid] / eps
-            half = 0.5 * (t + 1.0)
+        inside = tau > -eps
+        if np.any(inside):
+            t = tau[inside]
+            half = 0.5 * (np.minimum(t / eps, 1.0) + 1.0)
             v = -1.0 + (fam._chi_nodes[None, :] + 1.0) * half[:, None]
             dens = fam._chi_norm * np.exp(-1.0 / (1.0 - v * v))
-            kern = (tau[mid][:, None] - eps * v) ** (i - 1) / math.factorial(i - 1)
-            out[mid] = np.sum(fam._chi_glweights[None, :] * half[:, None] * dens * kern,
-                              axis=1)
+            kern = (t[:, None] - eps * v) ** (i - 1) / math.factorial(i - 1)
+            out[inside] = np.sum(fam._chi_glweights[None, :] * half[:, None] * dens * kern,
+                                 axis=1)
         return out
 
     def chi_cdf(self, tau):
@@ -257,7 +217,7 @@ class PhiHierarchy:
         # so Phi_k(0) = I_k / 2 holds to roundoff at every even level.
         fam, eps = self.family, self.eps
         mom = []
-        for k in range(self.K + 1):
+        for k in range(MAX_HIERARCHY_K + 1):
             if k % 2 == 1:
                 mom.append(0.0)  # odd integrands: exactly zero by parity
                 continue
@@ -269,7 +229,7 @@ class PhiHierarchy:
 
     def _b_recursion(self):
         bs = [1.0]
-        for m in range(1, self.K + 1):
+        for m in range(1, MAX_HIERARCHY_K + 1):
             if m % 2 == 1:
                 bs.append(0.0)  # enforced: odd coefficients vanish structurally
                 continue
@@ -282,12 +242,12 @@ class PhiHierarchy:
     def b_closed_form(self):
         """Composition-sum solution of the coefficient recursion (cross-check)."""
         out = [1.0]
-        for m in range(1, self.K + 1):
+        for m in range(1, MAX_HIERARCHY_K + 1):
             total = 0.0
             for parts in _compositions(m):
                 prod = 1.0
                 for p in parts:
-                    prod *= self.moments[p] if p <= self.K else 0.0
+                    prod *= self.moments[p]
                 total += (-1.0) ** len(parts) * prod
             out.append(total)
         return tuple(out)
@@ -295,8 +255,8 @@ class PhiHierarchy:
     def _right_half(self, level, k, tau):
         # A_level - sum_{j even < k} I_j B_{level-j} at |tau|: the right-half
         # tabulation of phi_k (level k) and of its running integral (level k + 1)
-        if not 0 <= k <= self.K:
-            raise ValueError("k out of range for this hierarchy")
+        if not 0 <= k <= MAX_HIERARCHY_K:
+            raise ValueError(f"k out of range 0..{MAX_HIERARCHY_K}")
         tau = np.asarray(tau, dtype=float)
         if np.max(np.abs(tau), initial=0.0) > WINDOW_HALF_WIDTH:
             raise ValueError(
@@ -389,9 +349,9 @@ def _compositions(m):
             yield (first,) + rest
 
 
-def build_phi_hierarchy(fam, eps, K):
-    """A new phi_{k,eps} hierarchy on the family, k <= K (well under a millisecond)."""
-    return PhiHierarchy(fam, eps, K)
+def build_phi_hierarchy(fam, eps):
+    """A new phi_{k,eps} hierarchy on the family (well under a millisecond)."""
+    return PhiHierarchy(fam, eps)
 
 
 # ---- smoothed Riesz means ------------------------------------------------------
@@ -429,7 +389,7 @@ def smoothed_riesz(mu, gamma, tau, eps, fam):
     if not (float(gamma).is_integer() and gamma >= 1):
         raise ValueError("gamma must be an integer >= 1")
     m = int(gamma)
-    h = build_phi_hierarchy(fam, eps, 0)
+    h = build_phi_hierarchy(fam, eps)
     p = _g_poly(m, tau)
     total = 0.0
     for a, w in mu.atoms_with_origin:
@@ -449,7 +409,7 @@ def _identity_sides(mu, m, eps, tau, fam):
         raise ValueError("tau must be > 0")
     if not mu.purely_atomic:
         raise ValueError("identity check requires a purely atomic odd-extended measure")
-    h = build_phi_hierarchy(fam, eps, m + 1)
+    h = build_phi_hierarchy(fam, eps)
     lhs = smoothed_riesz(mu, m, tau, eps, fam)
     p = _g_poly(m, tau)
     rhs = 0.0

@@ -443,8 +443,6 @@ def riesz_mean(spec, lam, gamma):
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     k = counting_function(spec, lam)
-    if gamma == 0:
-        return float(k)
     d = lam - spec.eigenvalues[:k]
     return float(np.sum(d**gamma))
 

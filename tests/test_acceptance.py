@@ -170,7 +170,7 @@ def test_09_iterated_identity_and_coefficients():
         for m in (1, 2):
             for eps in (0.1, 0.05):
                 worst = max(worst, iterated_identity_report(mu, m, eps, 3.0, fam)["residual"])
-    hier = build_phi_hierarchy(fam, 0.1, 6)
+    hier = build_phi_hierarchy(fam, 0.1)
     closed = hier.b_closed_form()
     b_gap = max(abs(hier.b[m] - closed[m]) for m in range(7))
     odd_ok = hier.b[1] == 0.0 and hier.b[3] == 0.0 and hier.b[5] == 0.0

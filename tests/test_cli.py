@@ -316,3 +316,19 @@ def test_argparse_exits_are_propagated(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every `weylab ...` line of the README's CLI block, run in a scratch directory
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("weylab ")]
+    assert len(lines) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code, rep = run_cli(capsys, argv)
+        assert code == 0, " ".join(argv)
+        assert "results" in rep, " ".join(argv)

@@ -13,11 +13,16 @@ from weylab import (AtomicMeasure, MollifierFamily, PhiHierarchy, Rectangle,
                     DIRICHLET, NEUMANN)
 from weylab import smoothing
 from weylab.cli import cmd_tauberian_demo
-from weylab.smoothing import (ENVELOPE_POWER, ENVELOPE_RATE, ENVELOPE_SCALE,
-                              MAX_HIERARCHY_K, TAB_STEP, WINDOW_HALF_WIDTH, _identity_sides)
+from weylab.smoothing import (MAX_HIERARCHY_K, TAB_HALF_WIDTH, TAB_STEP, WINDOW_HALF_WIDTH,
+                              _identity_sides)
 
 FAM = build_mollifier()
-HIER = build_phi_hierarchy(FAM, 0.1, 6)
+HIER = build_phi_hierarchy(FAM, 0.1)
+
+# measured decay envelope phi(tau) <= SCALE exp(-RATE tau^POWER) of the kernel
+ENVELOPE_RATE = 1.66
+ENVELOPE_POWER = 0.6
+ENVELOPE_SCALE = 16.0
 
 
 def test_kernel_is_a_probability_density():
@@ -83,7 +88,8 @@ def test_fourier_transform_band_limited():
 
 
 def test_kernel_decay_envelope():
-    # frozen envelope used by the truncation gate; measured sup ratio 0.78
+    # the envelope behind MAX_HIERARCHY_K (test_truncation_stability_gate);
+    # measured sup ratio 0.78
     taus = np.linspace(0.5, 150.0, 20000)
     env = ENVELOPE_SCALE * np.exp(-ENVELOPE_RATE * taus**ENVELOPE_POWER)
     assert float(np.max(FAM.phi(taus) / env)) <= 1.0
@@ -91,7 +97,7 @@ def test_kernel_decay_envelope():
 
 def test_hierarchy_parity_is_structural():
     taus = np.linspace(0.0, 100.0, 777)
-    for k in range(HIER.K + 1):
+    for k in range(MAX_HIERARCHY_K + 1):
         left = HIER.phi_k(k, -taus)
         right = (-1.0) ** k * HIER.phi_k(k, taus)
         assert float(np.max(np.abs(left - right))) == 0.0, f"k={k}"
@@ -105,17 +111,16 @@ def test_antiderivative_chain_consistency():
     # to a decade per level.
     taus = np.linspace(-10.0, 10.0, 100)
     h = 1e-5
-    for k in range(HIER.K + 1):
+    for k in range(MAX_HIERARCHY_K + 1):
         fd = (HIER.phi_k_antiderivative(k, taus + h)
               - HIER.phi_k_antiderivative(k, taus - h)) / (2.0 * h)
         assert np.max(np.abs(fd - HIER.phi_k(k, taus))) < 1e-10 * 10.0**k + 1e-9, f"k={k}"
     # even-level integration constants: Phi_k(0) = I_k / 2 at every even level,
     # since the moments come from the chain's own half-line moments
     assert float(HIER.phi_k_antiderivative(0, np.array([0.0]))[0]) == 0.5 * HIER.moments[0]
-    for h in (HIER, build_phi_hierarchy(FAM, 0.1, 8)):
-        for k in range(0, h.K + 1, 2):
-            phi0 = float(h.phi_k_antiderivative(k, np.array([0.0]))[0])
-            assert abs(2.0 * phi0 - h.moments[k]) <= 1e-14 * h.moments[k], f"K={h.K} k={k}"
+    for k in range(0, MAX_HIERARCHY_K + 1, 2):
+        phi0 = float(HIER.phi_k_antiderivative(k, np.array([0.0]))[0])
+        assert abs(2.0 * phi0 - HIER.moments[k]) <= 1e-14 * HIER.moments[k], f"k={k}"
 
 
 def test_window_guard():
@@ -138,17 +143,15 @@ def test_hierarchy_moments():
     assert HIER.moments[1] == 0.0
     assert HIER.moments[3] == 0.0
     assert HIER.moments[5] == 0.0
-    for k in (2, 4, 6):
+    assert HIER.moments[7] == 0.0
+    for k in (2, 4, 6, 8):
         want = PLANCHEREL_MOMENTS[k]
         assert abs(HIER.moments[k] - want) < 1e-13 * want, f"k={k}"
-    h8 = build_phi_hierarchy(FAM, 0.1, 8)
-    assert h8.moments[7] == 0.0
-    assert abs(h8.moments[8] - PLANCHEREL_MOMENTS[8]) < 1e-13 * PLANCHEREL_MOMENTS[8]
 
 
 def test_hierarchy_build_fits_one_spline(monkeypatch):
     # the chain, its integration constants and the moments all come from the
-    # phi spline, so a fresh family fits exactly one CubicSpline for K = 8
+    # phi spline, so a fresh family and a hierarchy on it fit exactly one CubicSpline
     real, fits = smoothing.CubicSpline, []
 
     def counting(*args, **kwargs):
@@ -156,8 +159,8 @@ def test_hierarchy_build_fits_one_spline(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(smoothing, "CubicSpline", counting)
-    h = PhiHierarchy(MollifierFamily(), 0.1, 8)
-    assert h.K == 8
+    h = PhiHierarchy(MollifierFamily(), 0.1)
+    assert len(h.moments) == MAX_HIERARCHY_K + 1
     assert len(fits) == 1
 
 
@@ -181,25 +184,39 @@ def test_windowed_chain_matches_the_full_range_chain():
         assert np.array_equal(window.c, c) and np.array_equal(window.x, x), f"k={k}"
 
 
-def test_hierarchies_agree_on_their_common_prefix():
-    # a hierarchy is a plain value of (eps, K): the moments, b and phi_k for
-    # k <= K do not depend on K
-    taus = np.linspace(-20.0, 20.0, 101)
-    for K in (0, 2, 3):
-        h = build_phi_hierarchy(FAM, 0.1, K)
-        assert h is not HIER
-        assert h.moments == HIER.moments[:K + 1] and h.b == HIER.b[:K + 1]
-        for k in range(K + 1):
-            assert np.array_equal(h.phi_k(k, taus), HIER.phi_k(k, taus)), f"K={K} k={k}"
-            assert np.array_equal(h.phi_k_antiderivative(k, taus),
-                                  HIER.phi_k_antiderivative(k, taus)), f"K={K} k={k}"
+def test_bump_chain_against_mpmath():
+    # B_i(tau) = int_{-eps}^{min(tau, eps)} (tau - u)^{i-1}/(i-1)! chi_eps(u) du
+    # = sum_k C(i-1, k) tau^{i-1-k} (-eps)^k M_k(min(tau/eps, 1)) / (i-1)!, with
+    # M_k(x) = int_{-1}^x v^k chi(v) dv by 30-digit tanh-sinh quadrature; the
+    # sum in 30 digits loses nothing to cancellation at these tau
+    import mpmath
+
+    with mpmath.workdps(30):
+        def bump(v):
+            return mpmath.exp(-1 / (1 - v * v))
+
+        norm = mpmath.quad(bump, [-1, 0, 1])
+        moments = {x: [mpmath.quad(lambda v: v**k * bump(v), [-1, x] if x <= 0 else [-1, 0, x])
+                       / norm for k in range(MAX_HIERARCHY_K + 1)] for x in (-0.5, 0, 0.3, 1)}
+        for eps in (0.1, 0.05):
+            h = build_phi_hierarchy(FAM, eps)
+            for x, tau in ((-0.5, -eps / 2), (0, 0.0), (0.3, 0.3 * eps), (1, eps),
+                           (1, 3.0), (1, 40.0), (1, 128.0)):
+                mom = moments[x]
+                for i in range(1, MAX_HIERARCHY_K + 2):
+                    want = float(mpmath.fsum(
+                        mpmath.binomial(i - 1, k) * mpmath.mpf(tau) ** (i - 1 - k)
+                        * (-mpmath.mpf(eps)) ** k * mom[k] for k in range(i))
+                        / mpmath.factorial(i - 1))
+                    got = float(h._B(i, np.array([tau]))[0])
+                    assert abs(got - want) <= 1e-13 * want, f"eps={eps} tau={tau} i={i}"
 
 
 def test_coefficient_recursion_against_closed_forms():
     b = HIER.b
     assert b[0] == 1.0 and b[1] == 0.0 and b[3] == 0.0 and b[5] == 0.0
     closed = HIER.b_closed_form()
-    for m in range(7):
+    for m in range(MAX_HIERARCHY_K + 1):
         assert abs(b[m] - closed[m]) < 1e-10, f"m={m}"
     # hand-expanded series inverse of the even moment sequence
     i2, i4, i6 = HIER.moments[2], HIER.moments[4], HIER.moments[6]
@@ -209,21 +226,30 @@ def test_coefficient_recursion_against_closed_forms():
 
 
 def test_truncation_stability_gate():
-    # closed-form estimates frozen for the padded window
-    assert abs(FAM.stability_estimate(8) - 1.739070845872548e-10) < 1e-22
-    assert abs(FAM.stability_estimate(9) - 1.978676162414988e-08) < 1e-20
-    assert build_phi_hierarchy(FAM, 0.1, 8).K == 8
-    with pytest.raises(ValueError, match="beyond tabulation stability"):
-        PhiHierarchy(FAM, 0.1, 9)
+    # the crude K-fold truncation bound env(T) (2T)^K / K! of the padded window,
+    # env the frozen decay envelope (out at T, psi is below the roundoff of the
+    # FFT sum, so the tabulated value bounds nothing), stays below 1e-9 up to
+    # K = 8 and not at 9: that is why every hierarchy stops at MAX_HIERARCHY_K
+    edge = ENVELOPE_SCALE * math.exp(-ENVELOPE_RATE * TAB_HALF_WIDTH ** ENVELOPE_POWER)
+
+    def est(K):
+        return edge * (2.0 * TAB_HALF_WIDTH) ** K / math.factorial(K)
+
+    assert abs(est(8) - 1.739070845872548e-10) < 1e-22
+    assert abs(est(9) - 1.978676162414988e-08) < 1e-20
+    assert est(MAX_HIERARCHY_K) <= 1e-9 < est(MAX_HIERARCHY_K + 1)
+    assert len(HIER.moments) == len(HIER.b) == MAX_HIERARCHY_K + 1
+    for f in (HIER.phi_k, HIER.phi_k_antiderivative):
+        f(MAX_HIERARCHY_K, 0.0)
+        with pytest.raises(ValueError, match="out of range"):
+            f(MAX_HIERARCHY_K + 1, 0.0)
     with pytest.raises(ValueError):
-        PhiHierarchy(FAM, 0.0, 2)
+        PhiHierarchy(FAM, 0.0)
     with pytest.raises(ValueError):
-        PhiHierarchy(FAM, 1.5, 2)
-    with pytest.raises(ValueError):
-        PhiHierarchy(FAM, 0.1, -1)
+        PhiHierarchy(FAM, 1.5)
 
 
-def test_hierarchies_are_cached():
+def test_build_mollifier_returns_the_shared_family():
     assert build_mollifier() is FAM
 
 
@@ -308,10 +334,9 @@ def test_identity_residuals_catch_a_perturbed_b2(monkeypatch):
         assert rep["max_residual"] <= 1e-13, f"eps={eps}"
     real = smoothing.build_phi_hierarchy
 
-    def perturbed(fam, eps, K):
-        h = real(fam, eps, K)
-        if K >= 2:
-            h.b = h.b[:2] + (h.b[2] * (1.0 + 1e-10),) + h.b[3:]
+    def perturbed(fam, eps):
+        h = real(fam, eps)
+        h.b = h.b[:2] + (h.b[2] * (1.0 + 1e-10),) + h.b[3:]
         return h
 
     monkeypatch.setattr(smoothing, "build_phi_hierarchy", perturbed)
