@@ -190,7 +190,7 @@ def cmd_tauberian_demo(args):
     residuals = []
     for name, mu in measures.items():
         for m in (1, 2):
-            rep = iterated_identity_report(mu, m, args.eps, args.tau, fam)
+            rep = iterated_identity_report(mu, m, args.tau, hier)
             rep["measure"] = name
             residuals.append(rep)
     return {"b_table": b_rows, "identity_residuals": residuals,

@@ -165,12 +165,13 @@ def test_09_iterated_identity_and_coefficients():
     measures = (AtomicMeasure(atoms=((1.0, 1.0),)),
                 AtomicMeasure(atoms=((1.0, 1.0), (2.0, 1.0))),
                 AtomicMeasure(atoms=((0.9, 2.0), (1.7, 0.7), (2.6, 1.5))))
+    hiers = {eps: build_phi_hierarchy(fam, eps) for eps in (0.1, 0.05)}
     worst = 0.0
     for mu in measures:
         for m in (1, 2):
-            for eps in (0.1, 0.05):
-                worst = max(worst, iterated_identity_report(mu, m, eps, 3.0, fam)["residual"])
-    hier = build_phi_hierarchy(fam, 0.1)
+            for h in hiers.values():
+                worst = max(worst, iterated_identity_report(mu, m, 3.0, h)["residual"])
+    hier = hiers[0.1]
     closed = hier.b_closed_form()
     b_gap = max(abs(hier.b[m] - closed[m]) for m in range(7))
     odd_ok = hier.b[1] == 0.0 and hier.b[3] == 0.0 and hier.b[5] == 0.0

@@ -12,7 +12,7 @@ from weylab import (AtomicMeasure, MollifierFamily, PhiHierarchy, Rectangle,
                     smoothed_riesz, tauberian_order_check, iterated_identity_report,
                     DIRICHLET, NEUMANN)
 from weylab import smoothing
-from weylab.cli import cmd_tauberian_demo
+from weylab.cli import cmd_pointwise_check, cmd_tauberian_demo
 from weylab.smoothing import (MAX_HIERARCHY_K, TAB_HALF_WIDTH, TAB_STEP, WINDOW_HALF_WIDTH,
                               _identity_sides)
 
@@ -278,25 +278,25 @@ def test_convolved_distribution_vanishes_at_zero():
 
 def test_smoothed_riesz_refines_to_the_sharp_mean():
     mu = AtomicMeasure(atoms=((1.0, 1.0),))
-    errs = [abs(smoothed_riesz(mu, 1.0, 2.0, eps, FAM) - 0.75)
+    errs = [abs(smoothed_riesz(mu, 1.0, 2.0, build_phi_hierarchy(FAM, eps)) - 0.75)
             for eps in (0.2, 0.1, 0.05)]
     assert errs[2] < 2e-4
     assert 3.5 < errs[0] / errs[1] < 4.5       # O(eps^2) halving
     assert 3.5 < errs[1] / errs[2] < 4.5
     # tau entirely below the smoothed support: exactly zero
-    assert smoothed_riesz(mu, 1.0, 0.5, 0.2, FAM) == 0.0
+    assert smoothed_riesz(mu, 1.0, 0.5, build_phi_hierarchy(FAM, 0.2)) == 0.0
 
 
 def test_smoothed_riesz_takes_integer_gamma_and_the_origin_mass():
     mu = AtomicMeasure(atoms=((1.0, 1.0),))
     for gamma in (1.5, 0, -1):
         with pytest.raises(ValueError, match="integer"):
-            smoothed_riesz(mu, gamma, 2.0, 0.1, FAM)
+            smoothed_riesz(mu, gamma, 2.0, HIER)
     # the point mass K0 at 0 is an atom of weight K0/2 there, so an atom of
     # weight w at a -> 0 tends to K0 = 2w
     for gamma in (1, 2):
-        origin = smoothed_riesz(AtomicMeasure(atoms=((1.0, 1.0),), K0=1.4), gamma, 2.0, 0.1, FAM)
-        near = smoothed_riesz(AtomicMeasure(atoms=((1.0, 1.0), (1e-9, 0.7))), gamma, 2.0, 0.1, FAM)
+        origin = smoothed_riesz(AtomicMeasure(atoms=((1.0, 1.0),), K0=1.4), gamma, 2.0, HIER)
+        near = smoothed_riesz(AtomicMeasure(atoms=((1.0, 1.0), (1e-9, 0.7))), gamma, 2.0, HIER)
         assert abs(origin - near) <= 1e-8, f"gamma={gamma}"
 
 
@@ -322,51 +322,94 @@ def test_identity_sides_against_the_bump_moments():
             P = np.polynomial.Polynomial(g / tau ** np.arange(g.size)).integ()
             want = 2.0 * m / tau * (P(tau) - P(1.0) - sum(
                 P.deriv(k)(1.0) * eps**k * c_k[k] / math.factorial(k) for k in (2, 4)))
-            lhs, rhs = _identity_sides(mu, m, eps, tau, FAM)
+            lhs, rhs = _identity_sides(mu, m, tau, build_phi_hierarchy(FAM, eps))
+            assert type(lhs) is float and type(rhs) is float
             assert abs(lhs - want) <= 1e-14 * want, f"lhs eps={eps} m={m}"
             assert abs(rhs - want) <= 1e-14 * want, f"rhs eps={eps} m={m}"
 
 
-def test_identity_residuals_catch_a_perturbed_b2(monkeypatch):
+def test_identity_residuals_catch_a_perturbed_b2():
     # every demo residual is at roundoff, so b_2 off by 1e-10 relative shows
     for eps, tau in ((0.1, 3.0), (0.05, 5.0)):
         rep = cmd_tauberian_demo(argparse.Namespace(eps=eps, tau=tau))
         assert rep["max_residual"] <= 1e-13, f"eps={eps}"
-    real = smoothing.build_phi_hierarchy
-
-    def perturbed(fam, eps):
-        h = real(fam, eps)
-        h.b = h.b[:2] + (h.b[2] * (1.0 + 1e-10),) + h.b[3:]
-        return h
-
-    monkeypatch.setattr(smoothing, "build_phi_hierarchy", perturbed)
     mu = AtomicMeasure(atoms=((1.0, 1.0),))
     for eps, tau in ((0.1, 3.0), (0.05, 5.0)):
-        assert iterated_identity_report(mu, 2, eps, tau, FAM)["residual"] > 1e-12, f"eps={eps}"
+        h = build_phi_hierarchy(FAM, eps)
+        h.b = h.b[:2] + (h.b[2] * (1.0 + 1e-10),) + h.b[3:]
+        assert iterated_identity_report(mu, 2, tau, h)["residual"] > 1e-12, f"eps={eps}"
+
+
+def test_one_hierarchy_per_run(monkeypatch):
+    # the demo builds its one hierarchy and hands it down: the sums build none
+    built = []
+    init = PhiHierarchy.__init__
+
+    def counting(self, family, eps):
+        built.append(eps)
+        init(self, family, eps)
+
+    monkeypatch.setattr(PhiHierarchy, "__init__", counting)
+    cmd_tauberian_demo(argparse.Namespace(eps=0.1, tau=3.0))
+    assert built == [0.1]
+    built.clear()
+    mu = AtomicMeasure(atoms=((1.0, 1.0), (2.0, 0.5)))
+    smoothed_riesz(mu, 2, 3.0, HIER)
+    assert iterated_identity_report(mu, 2, 3.0, HIER)["eps"] == 0.1
+    assert built == []
+
+
+def _square_dirichlet_atoms(lam_max):
+    # atoms at sqrt(pi^2 (m^2 + n^2)) < sqrt(lam_max), weighted by multiplicity
+    m = np.arange(1, int(math.sqrt(lam_max) / math.pi) + 2)
+    ev = math.pi**2 * (m[:, None] ** 2 + m[None, :] ** 2).ravel()
+    loc, mult = np.unique(np.sqrt(ev[ev < lam_max]), return_counts=True)
+    return AtomicMeasure(atoms=tuple(zip(loc, mult)))
+
+
+def test_identity_on_the_unit_square_spectrum():
+    mu = _square_dirichlet_atoms(3000.0)
+    assert len(mu.atoms) == 101 and sum(w for _, w in mu.atoms) == 220
+    tau = 0.9 * math.sqrt(3000.0)
+    for m in (1, 2):
+        rep = iterated_identity_report(mu, m, tau, HIER)
+        assert rep["residual"] <= 1e-12 * max(1.0, abs(rep["lhs"])), f"m={m}"
+    # the array passes are linear in the measure: the whole equals the sum of its atoms
+    singles = [AtomicMeasure(atoms=(atom,)) for atom in mu.atoms]
+    for whole, parts in (
+            (smoothed_riesz(mu, 2, tau, HIER),
+             [smoothed_riesz(one, 2, tau, HIER) for one in singles]),
+            (HIER.conv_distribution(2, mu, tau),
+             [HIER.conv_distribution(2, one, tau) for one in singles])):
+        assert abs(whole - math.fsum(parts)) <= 1e-13 * abs(whole)
+    # the shift -a evaluates the chain at tau + a, past the window beyond lambda ~ 3 600
+    big = _square_dirichlet_atoms(1e4)
+    with pytest.raises(ValueError, match="tabulated window"):
+        iterated_identity_report(big, 1, 0.9 * math.sqrt(1e4), HIER)
 
 
 def test_iterated_identity_residuals():
     mu = AtomicMeasure(atoms=((1.0, 1.0),))
-    assert iterated_identity_report(mu, 1, 0.1, 3.0, FAM)["residual"] < 1e-6
-    assert iterated_identity_report(mu, 2, 0.1, 3.0, FAM)["residual"] < 1e-5
-    rep = iterated_identity_report(mu, 1, 0.1, 3.0, FAM)
+    assert iterated_identity_report(mu, 1, 3.0, HIER)["residual"] < 1e-6
+    assert iterated_identity_report(mu, 2, 3.0, HIER)["residual"] < 1e-5
+    rep = iterated_identity_report(mu, 1, 3.0, HIER)
     assert set(rep) == {"m", "eps", "tau", "lhs", "rhs", "residual"}
     assert abs(rep["lhs"] - rep["rhs"]) == rep["residual"]
 
 
 def test_iterated_identity_zero_measure():
     mu = AtomicMeasure(atoms=((1.0, 0.0),))
-    assert iterated_identity_report(mu, 1, 0.1, 3.0, FAM)["residual"] == 0.0
+    assert iterated_identity_report(mu, 1, 3.0, HIER)["residual"] == 0.0
 
 
 def test_iterated_identity_guards():
     mu = AtomicMeasure(atoms=((1.0, 1.0),))
     with pytest.raises(ValueError):
-        iterated_identity_report(mu, 3, 0.1, 3.0, FAM)
+        iterated_identity_report(mu, 3, 3.0, HIER)
     with pytest.raises(ValueError):
-        iterated_identity_report(mu, 1, 0.1, -1.0, FAM)
+        iterated_identity_report(mu, 1, -1.0, HIER)
     with pytest.raises(ValueError):
-        iterated_identity_report(AtomicMeasure(K0=1.0), 1, 0.1, 3.0, FAM)
+        iterated_identity_report(AtomicMeasure(K0=1.0), 1, 3.0, HIER)
 
 
 def test_reflection_heat_bound():
@@ -386,16 +429,48 @@ def test_reflection_heat_bound():
         reflection_heat_bound(rect, DIRICHLET, (0.0, 0.5), 0.05)
 
 
+def _refit_slope(bc, x, gamma, grid):
+    # independent route on the unit square: separable eigenfunction weights
+    # u_m(x)^2 u_n(y)^2 on an (m, n) grid, the remainder at each lambda, maxima
+    # over 12 logarithmic blocks and a log-log line through them
+    m = np.arange(0 if bc == NEUMANN else 1, int(math.sqrt(grid[-1]) / math.pi) + 2)
+    if bc == DIRICHLET:
+        wx, wy = (2.0 * np.sin(m * math.pi * c) ** 2 for c in x)
+    else:
+        wx, wy = (np.where(m == 0, 1.0, 2.0) * np.cos(m * math.pi * c) ** 2 for c in x)
+    ev = math.pi**2 * (m[:, None] ** 2 + m[None, :] ** 2)
+    amp = wx[:, None] * wy[None, :]
+    lt = math.gamma(gamma + 1.0) / (4.0 * math.pi * math.gamma(gamma + 2.0))
+    rem = np.array([abs(np.sum(amp * np.clip(lam - ev, 0.0, None) ** gamma)
+                        - lt * lam ** (gamma + 1.0)) for lam in grid])
+    edges = np.geomspace(grid[0], grid[-1] * (1.0 + 1e-12), 13)
+    block = np.clip(np.digitize(grid, edges) - 1, 0, 11)
+    peaks = [sel[np.argmax(rem[sel])] for sel in (np.nonzero(block == b)[0] for b in range(12))
+             if sel.size]
+    return np.polyfit(0.5 * np.log(grid[peaks]), np.log(rem[peaks]), 1)[0]
+
+
 def test_pointwise_order_fit():
     """Envelope exponents of the pointwise remainder at desk-scale energies."""
     grid = np.geomspace(1e3, 1e5, 600)
     sq = Rectangle(1.0, 1.0)
-    slope = tauberian_order_check(sq, DIRICHLET, (0.5, 0.5), 1.0, grid)
-    assert abs(slope - 1.5231739787585188) < 1e-9       # frozen fit, this build
-    assert 1.35 <= slope <= 1.65
+    for x in ((0.5, 0.5), (0.31, 0.47)):
+        slope = tauberian_order_check(sq, DIRICHLET, x, 1.0, grid)
+        assert abs(slope - _refit_slope(DIRICHLET, x, 1.0, grid)) < 1e-9, f"x={x}"
+        assert 1.35 <= slope <= 1.65
     assert 0.3 <= tauberian_order_check(sq, DIRICHLET, (0.5, 0.5), 0.0, grid) <= 0.7
     assert 1.35 <= tauberian_order_check(sq, NEUMANN, (0.5, 0.5), 1.0, grid) <= 1.65
-    assert 1.35 <= tauberian_order_check(sq, DIRICHLET, (0.31, 0.47), 1.0, grid) <= 1.65
+
+
+def test_pointwise_check_takes_points_near_the_walls():
+    # valid interior points: a one-reflection heat bound is no theorem here, where
+    # sqrt(t) is comparable to the distance to a second wall, so nothing that
+    # reads no eigenvalue may refuse them
+    grid = np.geomspace(1e3, 1e5, 600)
+    for bc, x in ((NEUMANN, (0.02, 0.5)), (DIRICHLET, (0.05, 0.05)), (NEUMANN, (0.05, 0.05))):
+        rep = cmd_pointwise_check(argparse.Namespace(
+            domain="unit-square", bc=bc, lam="1e3:1e5:600log", gamma=1.0, x=f"{x[0]},{x[1]}"))
+        assert abs(rep["fitted_exponent"] - _refit_slope(bc, x, 1.0, grid)) < 1e-9, f"{bc} x={x}"
 
 
 def test_pointwise_order_fit_refusals():
