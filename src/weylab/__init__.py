@@ -8,8 +8,7 @@ from .constants import (DIRICHLET, NEUMANN, boundary_sign, check_bc, corner_sum,
                         heat_two_term_prediction, lt_constant, one_term_prediction,
                         three_term_polygon_prediction, two_term_prediction)
 from .geometry import (ConvexPolygon, bishop_gromov_profile, chebyshev_center,
-                       corner_params, distance_level_volume, inner_parallel_perimeter,
-                       inradius, load_polygon, minkowski_ball_area, polygon_disk_area,
+                       corner_params, distance_level_volume, inradius, load_polygon,
                        random_convex_polygon, save_polygon, theta_omega)
 from .riesz import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, SampledFunction,
                     interpolation_constant, riesz_lift, riesz_interpolation_certificate,

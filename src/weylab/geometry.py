@@ -1,11 +1,11 @@
-"""Convex polygon geometry: inradius, erosion, boundary layers, corner data.
+"""Convex polygon geometry: inradius, inner parallel bodies, boundary layers, corner data.
 
 Every quantity here comes from a closed form.  One edge-collapse (straight
 skeleton) pass per polygon gives the Chebyshev center, the inradius and the
-piecewise-quadratic erosion area, hence the boundary-layer functional; disk
-intersections come from Green's theorem; the corner-separation radius from
-the containment bound and half the closest vertex distance.  Nothing is
-iterative: there is no linear program and no search.
+piecewise-quadratic area of the inner parallel bodies, hence the boundary-layer
+functional; disk intersections come from Green's theorem; the corner-separation
+radius from the containment bound and half the closest vertex distance.  Nothing
+is iterative: there is no linear program and no search.
 """
 
 import functools
@@ -79,7 +79,7 @@ class ConvexPolygon:
 
     @functools.cached_property
     def _schedule(self):
-        # polygons are never mutated (scaled builds a new one)
+        # polygons are never mutated
         return _collapse_schedule(self)
 
     @property
@@ -105,11 +105,6 @@ class ConvexPolygon:
     def contains(self, point, tol=0.0):
         p = np.asarray(point, dtype=float)
         return bool(np.all(self.normals @ p <= self.offsets + tol))
-
-    def scaled(self, s):
-        if not s > 0:
-            raise ValueError("scale factor must be > 0")
-        return ConvexPolygon(self.vertices * s)
 
     @classmethod
     def rectangle(cls, a, b):
@@ -151,12 +146,11 @@ def _collapse_schedule(poly):
     the original offsets; convex polygons have no split events.  Each stage drops
     the first edge to collapse; the last three lines meet at the Chebyshev center
     at s = inradius (Aichholzer, Aurenhammer, Alberts & Gaertner, J. UCS 1, 1995).
-    Between events the area is A(s0 + u) = A(s0) - u P(s0) + u^2 K and the
-    perimeter P(s0) - 2 u K, K = sum tan(turn / 2); pieces are
-    (s0, s_end, A(s0), P(s0), K).  A stage shorter than 1e-12 inradius merges
-    into the one before it.  That drops simultaneous collapses, and every stage
-    that starts at the inradius, the only place where antiparallel lines become
-    adjacent.
+    Between events the area is A(s0 + u) = A(s0) - u P(s0) + u^2 K, with P the
+    perimeter and K = sum tan(turn / 2); pieces are (s0, s_end, A(s0), P(s0), K).
+    A stage shorter than 1e-12 inradius merges into the one before it.  That
+    drops simultaneous collapses, and every stage that starts at the inradius,
+    the only place where antiparallel lines become adjacent.
     """
     nrm, off = poly.normals, poly.offsets
     active, stages, s0 = list(range(poly.n)), [], 0.0
@@ -206,27 +200,16 @@ def inradius(poly):
     return poly.inradius
 
 
-def _inner_body(poly, s):
-    """Area and perimeter of the inner parallel body at 0 <= s <= inradius."""
-    s_lo, _, area, per, k = next(p for p in reversed(poly._schedule.pieces) if p[0] <= s)
-    u = s - s_lo
-    return area - u * per + u * u * k, per - 2.0 * u * k
-
-
 def distance_level_volume(poly, s):
-    """Area of the boundary layer {x in Omega : dist(x, boundary) < s}, 0 <= s <= inradius."""
+    """Area of the boundary layer {x in Omega : dist(x, boundary) < s}, 0 <= s <= inradius:
+    the polygon's area minus that of its inner parallel body at s."""
     r_in = poly.inradius
     if not (0.0 <= s <= r_in * (1.0 + 1e-12)):
         raise ValueError(f"s = {s} outside [0, inradius = {r_in}]")
-    return poly.area - _inner_body(poly, min(s, r_in))[0]
-
-
-def inner_parallel_perimeter(poly, s):
-    """Perimeter of the inner parallel body, 0 <= s < inradius."""
-    r_in = poly.inradius
-    if not (0.0 <= s < r_in):
-        raise ValueError(f"s = {s} outside [0, inradius = {r_in})")
-    return _inner_body(poly, s)[1]
+    s = min(s, r_in)
+    s_lo, _, area, per, k = next(p for p in reversed(poly._schedule.pieces) if p[0] <= s)
+    u = s - s_lo
+    return poly.area - (area - u * per + u * u * k)
 
 
 def theta_omega(poly):
@@ -256,13 +239,6 @@ def theta_omega(poly):
     return max(best, poly.area / poly.inradius)
 
 
-def minkowski_ball_area(poly, r):
-    """Exact Steiner formula |Omega + B_r| = |Omega| + r*Per + pi r^2."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return poly.area + r * poly.perimeter + math.pi * r * r
-
-
 def _disk_areas(poly, center, radii):
     """|polygon ∩ disk(center, r)| for every r in radii, by Green's theorem, in one
     array pass: edge p -> q adds 0.5 x1 x x2 for its chord x1 x2 inside the disk
@@ -286,15 +262,6 @@ def _disk_areas(poly, center, radii):
              + np.where(t2 < 1.0, 0.5 * r2 * _ang(x2, q), 0.0))
     terms = np.where(cuts, chord, 0.5 * r2 * _ang(p, q))
     return np.sum(np.where(live, terms, 0.0), axis=0)
-
-
-def polygon_disk_area(poly, center, r):
-    """Exact area of the intersection of the polygon with a disk of radius r."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if r == 0.0:
-        return 0.0
-    return float(_disk_areas(poly, center, np.array([float(r)]))[0])
 
 
 def bishop_gromov_profile(poly, a, radii):

@@ -11,6 +11,7 @@ from .spectra import _expand, _first_index
 
 ASPECT_RANGE = (0.05, 1.0)
 MAX_EVALUATIONS = 20000    # branch-and-bound evaluation cap; the gap is reported either way
+TREND_SLACK = 1e-9         # symmetry gaps may rise by this much and still count as decreasing
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class OptimizationRun:
 
 # ---- sort-free lattice sums ---------------------------------------------------------
 #
-# Aspect rho means sides (area/rho)^(1/2) x (area*rho)^(1/2), so with s = pi^2/area
-# the eigenvalues are lambda_mn(rho) = s (m^2 rho + n^2 / rho), m, n >= lo.
+# Aspect rho means sides rho^(-1/2) x rho^(1/2), so with s = pi^2 the eigenvalues
+# are lambda_mn(rho) = s (m^2 rho + n^2 / rho), m, n >= lo.
 
 
 def _row_top(t, rho, s):
@@ -94,24 +95,22 @@ def _row_data(lam, bc, s):
     return m, sm2, np.ceil(lam / (2.0 * s * np.maximum(m, 1.0)))
 
 
-def rectangle_riesz_objective(rho, lam, gamma, bc, area=1.0):
+def rectangle_riesz_objective(rho, lam, gamma, bc):
     """Riesz mean sum of (lam - lambda_k)_+^gamma for the aspect-rho rectangle.
 
-    Aspect rho means sides (area/rho)^(1/2) x (area*rho)^(1/2); the constraint
-    |Omega| = area is enforced exactly by construction.  The sum runs row by row
-    over the lattice without building or sorting a spectrum: in closed form via
-    sum n^2 at gamma = 1, term by term otherwise.
+    Aspect rho means sides rho^(-1/2) x rho^(1/2); the constraint |Omega| = 1 is
+    enforced exactly by construction.  The sum runs row by row over the lattice
+    without building or sorting a spectrum: in closed form via sum n^2 at
+    gamma = 1, term by term otherwise.
     """
     if not rho > 0:
         raise ValueError("aspect ratio must be > 0")
-    if not area > 0:
-        raise ValueError("area must be > 0")
     if not lam > 0:
         raise ValueError("lambda must be > 0")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     bc = check_bc(bc)
-    s = math.pi**2 / area
+    s = math.pi**2
     return _lattice_sample(rho, lam, gamma, bc, s, *_rows(lam, rho, bc, s))[0]
 
 
@@ -286,10 +285,10 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
                            tuple(trace), trace[j], gap)
 
 
-def symmetry_trend(study, slack=1e-9):
-    """True when the symmetry gaps along the ladder are weakly decreasing."""
+def symmetry_trend(study):
+    """True when the symmetry gaps along the ladder are weakly decreasing (up to TREND_SLACK)."""
     gaps = [g for _, _, g in study]
-    return all(b <= a + slack for a, b in zip(gaps, gaps[1:]))
+    return all(b <= a + TREND_SLACK for a, b in zip(gaps, gaps[1:]))
 
 
 def write_trace_csv(run, path):

@@ -44,11 +44,11 @@ class MollifierFamily:
     psi is the inverse cosine transform of a Gevrey-steepened profile supported in
     [-1/2, 1/2], Plancherel-normalized so that the square integrates to one; chi is
     the normalized exp(-1/(1-u^2)) bump.  One equispaced trapezoid rule in xi gives
-    the norm, psi at any tau and, through one real FFT, psi on the whole tabulation
-    grid.  Its step 2pi/(FFT_SIZE*TAB_STEP) makes tau_j xi_k = 2pi jk/FFT_SIZE on
-    the grid, and for this compactly supported, infinitely flat profile its only
-    error is the alias psi(tau + FFT_SIZE*TAB_STEP), far below roundoff for
-    |tau| <= TAB_HALF_WIDTH (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    the norm and, through one real FFT, psi on the whole tabulation grid.  Its step
+    2pi/(FFT_SIZE*TAB_STEP) makes tau_j xi_k = 2pi jk/FFT_SIZE on the grid, and
+    for this compactly supported, infinitely flat profile its only error is the
+    alias psi(tau + FFT_SIZE*TAB_STEP), far below roundoff for |tau| <=
+    TAB_HALF_WIDTH (Trefethen & Weideman, SIAM Rev. 56, 2014).
     The constructor builds everything in one pass: the tabulation, its one cubic
     spline, the spline's half-line moments and the antiderivative chain
     A_0 ... A_{MAX_HIERARCHY_K+1} of the spline on [0, WINDOW_HALF_WIDTH], which
@@ -61,9 +61,8 @@ class MollifierFamily:
         wq = np.full(xi.size, step)
         wq[0] = 0.5 * step          # the profile is even: half weight at xi = 0
         profile = np.exp(-GEVREY_SCALE * (1.0 - (xi / HALF_BAND) ** 2) ** -GEVREY_POWER)
-        self._norm = math.sqrt(math.pi / float(np.sum(wq * profile * profile)))
-        self._xi = xi
-        self._cos_coef = self._norm * wq * profile / math.pi
+        norm = math.sqrt(math.pi / float(np.sum(wq * profile * profile)))
+        self._cos_coef = norm * wq * profile / math.pi
         # chi = normalized bump; keep the raw Gauss rule so sub-interval integrals
         # against chi can be formed with any smooth integrand later
         xc, wc = np.polynomial.legendre.leggauss(400)
@@ -98,22 +97,6 @@ class MollifierFamily:
             level = level.antiderivative()
             level.c[-1, :] += self._half_moments[k - 1] / math.factorial(k - 1)
             self._a_window.append(level)
-
-    # ---- direct evaluations -------------------------------------------------
-
-    def psi(self, tau):
-        """psi by the trapezoid rule summed directly (|tau| well below the alias period)."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.empty(tau.size)
-        flat = tau.ravel()
-        for i in range(0, flat.size, 8192):
-            blk = flat[i:i + 8192, None] * self._xi[None, :]
-            out[i:i + 8192] = np.cos(blk) @ self._cos_coef
-        return out.reshape(tau.shape)
-
-    def phi(self, tau):
-        """The band-limited kernel phi = psi^2 evaluated from the quadrature rule."""
-        return self.psi(tau) ** 2
 
     def chi_moment(self, k):
         """k-th moment (k <= MAX_HIERARCHY_K) of the unit-scale bump; odd ones vanish."""
@@ -311,8 +294,9 @@ class PhiHierarchy:
         """chi_eps * N_mu for the atoms and the point mass at 0."""
         return self._atom_sum(self.chi_cdf, 1.0, mu, sigma)
 
-    def _conv_integral(self, level, k, mu, p, tau):
-        # int_0^tau p(s) (F * mu)(s) ds for a polynomial p, with F = phi_k (level k,
+    def _conv_integral(self, level, k, mu, ders, tau):
+        # int_0^tau p(s) (F * mu)(s) ds for a polynomial p given with its derivatives
+        # ders = [p, p', ...] (see _by_parts), and F = phi_k (level k,
         # as in conv_jump_measure) or Phi_k (level k + 1, as in conv_distribution).
         # Each shift c in {a, -a} splits [0, tau] at b = clip(c, 0, tau).  On [b, tau],
         # right of c, F(s - c) is the right-half chain at s - c, and level + n is its
@@ -323,14 +307,14 @@ class PhiHierarchy:
         sign = (-1.0) ** k
         const = self.moments[k] if level == k + 1 else 0.0
         left = sign if level == k else -sign
-        q = p.integ()
+        q = ders[0].integ()
         a, w = mu.atoms_with_origin
         part = -const * (q(tau) - q(0.0))
         for c in (a, -a):
             b = np.clip(c, 0.0, tau)
-            part += _by_parts(p, lambda n, s: self._right_half(level + n, k, s - c)[1], b, tau)
+            part += _by_parts(ders, lambda n, s: self._right_half(level + n, k, s - c)[1], b, tau)
             part += sign * const * (q(b) - q(0.0)) + left * _by_parts(
-                p, lambda n, s: (-1.0) ** n * self._right_half(level + n, k, c - s)[1], 0.0, b)
+                ders, lambda n, s: (-1.0) ** n * self._right_half(level + n, k, c - s)[1], 0.0, b)
         return part @ w
 
 
@@ -352,21 +336,24 @@ def build_phi_hierarchy(fam, eps):
 # ---- smoothed Riesz means ------------------------------------------------------
 
 
-def _g_poly(m, tau):
-    # (1 - u^2)^(m-1) u at u = s / tau, as a polynomial in s
+def _g_derivatives(m, tau):
+    # (1 - u^2)^(m-1) u at u = s / tau, as a polynomial p in s, and its derivatives:
+    # [p, p', ..., p^(deg p)].  The derivatives of p^(j) are the list from j on.
     c = np.concatenate(([0.0], np.polynomial.polynomial.polypow([1.0, 0.0, -1.0], m - 1)))
-    return np.polynomial.Polynomial(c / tau ** np.arange(c.size))
+    p = np.polynomial.Polynomial(c / tau ** np.arange(c.size))
+    return [p.deriv(r) for r in range(p.degree() + 1)]
 
 
-def _by_parts(p, chain, x, y):
-    # int_x^y p F_0 = sum_r (-1)^r [p^(r) F_{r+1}]_x^y for a polynomial p and an
-    # antiderivative chain chain(n, s) = F_n(s), F_{n+1}' = F_n: the sum stops at
-    # r = deg p, so the integral is a handful of chain values at its two ends.
-    # x and y broadcast to one interval per atom, and so does the result.
+def _by_parts(ders, chain, x, y):
+    # int_x^y p F_0 = sum_r (-1)^r [p^(r) F_{r+1}]_x^y for a polynomial p, given as
+    # ders = [p, p', ..., p^(deg p)], and an antiderivative chain chain(n, s) = F_n(s),
+    # F_{n+1}' = F_n: the sum stops at r = deg p, so the integral is a handful of
+    # chain values at its two ends.  x and y broadcast to one interval per atom, and
+    # so does the result.
     ends = np.array(np.broadcast_arrays(x, y))
     total = 0.0
-    for r in range(p.degree() + 1):
-        v = p.deriv(r)(ends) * chain(r + 1, ends)
+    for r, d in enumerate(ders):
+        v = d(ends) * chain(r + 1, ends)
         total += (-1.0) ** r * (v[1] - v[0])
     return total
 
@@ -385,11 +372,11 @@ def smoothed_riesz(mu, gamma, tau, hier):
     if not (float(gamma).is_integer() and gamma >= 1):
         raise ValueError("gamma must be an integer >= 1")
     m = int(gamma)
-    p = _g_poly(m, tau)
+    ders = _g_derivatives(m, tau)
     a, w = mu.atoms_with_origin
     zero = np.zeros(a.shape)
-    total = (_by_parts(p, lambda n, s: hier._B(n + 1, s - a), zero, tau)
-             + _by_parts(p, lambda n, s: (-1.0) ** (n + 1) * hier._B(n + 1, -s - a),
+    total = (_by_parts(ders, lambda n, s: hier._B(n + 1, s - a), zero, tau)
+             + _by_parts(ders, lambda n, s: (-1.0) ** (n + 1) * hier._B(n + 1, -s - a),
                          zero, tau)) @ w
     return 2.0 * m / tau * float(total)
 
@@ -405,13 +392,13 @@ def _identity_sides(mu, m, tau, hier):
     if not mu.purely_atomic:
         raise ValueError("identity check requires a purely atomic odd-extended measure")
     lhs = smoothed_riesz(mu, m, tau, hier)
-    p = _g_poly(m, tau)
+    ders = _g_derivatives(m, tau)
     rhs = 0.0
     for j in range(0, m + 1, 2):
         kk = m + 1 - j
         rhs += 2.0 * m * hier.b[j] / tau * (
-            hier._conv_integral(1, 0, mu, p.deriv(j), tau)
-            - (-1.0) ** m * hier._conv_integral(kk, kk, mu, p.deriv(m), tau))
+            hier._conv_integral(1, 0, mu, ders[j:], tau)
+            - (-1.0) ** m * hier._conv_integral(kk, kk, mu, ders[m:], tau))
     for j in range(0, m, 2):
         rhs -= (2.0**m * math.factorial(m) * hier.b[j] * tau**-m
                 * hier.conv_distribution(m - j, mu, tau))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import weylab
+from pointwise_refit import refit_slope
 from weylab import cli
 from weylab.cli import main, parse_domain, parse_grid
 from weylab.constants import heat_polygon_error_bound
@@ -197,7 +198,8 @@ def test_pointwise_check(capsys):
     res = rep["results"]
     assert res["point"] == [0.5, 0.5]
     assert res["expected_exponent"] == 1.5
-    assert abs(res["fitted_exponent"] - 1.5231739787585188) < 1e-9
+    grid = np.geomspace(1e3, 1e5, 600)
+    assert abs(res["fitted_exponent"] - refit_slope("dirichlet", (0.5, 0.5), 1.0, grid)) < 1e-9
     assert res["within_band"] is True
 
 
@@ -318,17 +320,11 @@ def test_argparse_exits_are_propagated(capsys):
     capsys.readouterr()
 
 
-def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
-    # every `weylab ...` line of the README's CLI block, run in a scratch directory
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "README.md")
-    with open(readme) as fh:
-        text = fh.read()
-    block = text.split("## CLI", 1)[1].split("```", 2)[1]
-    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("weylab ")]
-    assert len(lines) >= 9
-    monkeypatch.chdir(tmp_path)
-    for argv in lines:
-        code, rep = run_cli(capsys, argv)
+def test_readme_cli_block_runs(readme_block_run):
+    # every `weylab ...` line of the README's CLI block, run in a scratch
+    # directory, then the two extra lines of the function-entry trace
+    runs, _ = readme_block_run
+    assert len(runs) >= 12
+    for argv, code, out in runs:
         assert code == 0, " ".join(argv)
-        assert "results" in rep, " ".join(argv)
+        assert "results" in json.loads(out), " ".join(argv)

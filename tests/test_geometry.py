@@ -10,8 +10,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import weylab.geometry as geometry
 from weylab import (ConvexPolygon, bishop_gromov_profile, chebyshev_center,
-                    corner_params, distance_level_volume, inner_parallel_perimeter,
-                    inradius, load_polygon, minkowski_ball_area, polygon_disk_area,
+                    corner_params, distance_level_volume, inradius, load_polygon,
                     random_convex_polygon, save_polygon, theta_omega)
 
 SQ = ConvexPolygon.rectangle(1.0, 1.0)
@@ -129,11 +128,9 @@ def test_regular_polygon_has_requested_area():
 
 
 def test_scaled_and_translated():
-    p = ConvexPolygon(SQ.scaled(3.0).vertices + [-1.0, 2.0])
+    p = ConvexPolygon(3.0 * SQ.vertices + [-1.0, 2.0])
     assert abs(p.area - 9.0) < 1e-12
     assert abs(p.perimeter - 12.0) < 1e-12
-    with pytest.raises(ValueError):
-        SQ.scaled(0.0)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -236,7 +233,6 @@ def test_erosion_pieces_against_clipping():
         for s in rng.uniform(0.0, inradius(p), 4):
             inner = erode(p, s)
             assert abs(p.area - distance_level_volume(p, s) - inner.area) <= 1e-12 * p.area
-            assert abs(inner_parallel_perimeter(p, s) - inner.perimeter) <= 1e-12 * p.perimeter
 
 
 def test_erode_square_closed_form():
@@ -268,12 +264,6 @@ def test_distance_level_volume_square():
         distance_level_volume(SQ, 0.51)
 
 
-def test_inner_parallel_perimeter_square():
-    assert abs(inner_parallel_perimeter(SQ, 0.2) - 2.4) < 1e-12
-    with pytest.raises(ValueError):
-        inner_parallel_perimeter(SQ, 0.5)
-
-
 def test_boundary_layer_bound_random_sweep():
     """|{d < s}| <= s * Per with strict margin away from s = 0."""
     rng = np.random.default_rng(7)
@@ -294,19 +284,15 @@ def test_theta_equals_perimeter():
         assert abs(theta_omega(p) - p.perimeter) < 1e-9 * p.perimeter
 
 
-def test_minkowski_ball_area_is_steiner():
-    assert abs(minkowski_ball_area(SQ, 0.3) - (1.0 + 1.2 + math.pi * 0.09)) < 1e-14
-    assert minkowski_ball_area(SQ, 0.0) == SQ.area
-    with pytest.raises(ValueError):
-        minkowski_ball_area(SQ, -0.1)
-
-
 def test_polygon_disk_area_closed_cases():
-    assert abs(polygon_disk_area(SQ, [0.5, 0.5], 0.3) - math.pi * 0.09) < 1e-14
-    assert abs(polygon_disk_area(SQ, [0.5, 0.5], 2.0) - 1.0) < 1e-14
-    assert abs(polygon_disk_area(SQ, [0.0, 0.0], 0.3) - math.pi * 0.09 / 4.0) < 1e-14
-    assert abs(polygon_disk_area(SQ, [0.5, 0.0], 0.3) - math.pi * 0.09 / 2.0) < 1e-13
-    assert polygon_disk_area(SQ, [0.5, 0.5], 0.0) == 0.0
+    def area(center, r):
+        return float(geometry._disk_areas(SQ, center, np.array([r]))[0])
+
+    assert abs(area([0.5, 0.5], 0.3) - math.pi * 0.09) < 1e-14
+    assert abs(area([0.5, 0.5], 2.0) - 1.0) < 1e-14
+    assert abs(area([0.0, 0.0], 0.3) - math.pi * 0.09 / 4.0) < 1e-14
+    assert abs(area([0.5, 0.0], 0.3) - math.pi * 0.09 / 2.0) < 1e-13
+    assert area([0.5, 0.5], 0.0) == 0.0
 
 
 def _area_inside_ngon(p, center, radius, sides=1024):
@@ -328,7 +314,7 @@ def test_disk_areas_between_inscribed_and_circumscribed_polygons():
         c, r_in = chebyshev_center(p)
         base = c + 0.9 * (p.vertices[0] - c) * rng.uniform()
         radii = np.geomspace(0.2 * r_in, 2.0 * p.scale, 6)
-        areas = np.array([polygon_disk_area(p, base, r) for r in radii])
+        areas = geometry._disk_areas(p, base, radii)
         assert np.array_equal(bishop_gromov_profile(p, base, radii), areas / (radii * radii))
         for r, area in zip(radii, areas):
             lo = _area_inside_ngon(p, base, r * math.cos(math.pi / sides), sides)

@@ -53,13 +53,6 @@ def test_objective_aspect_inversion_symmetry():
         assert abs(v - w) < 1e-11 * abs(v)
 
 
-def test_objective_scaling_covariance():
-    # |Omega| -> 2 |Omega| halves every eigenvalue, so R_1 scales by 1/2 at lambda/2
-    v2 = rectangle_riesz_objective(0.7, 250.0, 1.0, DIRICHLET, area=2.0)
-    v1 = rectangle_riesz_objective(0.7, 500.0, 1.0, DIRICHLET, area=1.0)
-    assert abs(v2 - 0.5 * v1) < 1e-12 * abs(v1)
-
-
 def test_objective_against_the_sorted_spectrum():
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -136,8 +129,6 @@ def test_objective_guards():
         rectangle_riesz_objective(0.0, 500.0, 1.0, DIRICHLET)
     with pytest.raises(ValueError):
         rectangle_riesz_objective(0.5, -3.0, 1.0, DIRICHLET)
-    with pytest.raises(ValueError):
-        rectangle_riesz_objective(0.5, 500.0, 1.0, DIRICHLET, area=0.0)
 
 
 def test_dirichlet_rectangle_optimum_at_desk_scale():
@@ -243,9 +234,9 @@ def test_convergence_study_pins():
 def test_symmetry_trend_logic():
     assert symmetry_trend([(1, 0, 0.5), (2, 0, 0.3), (3, 0, 0.3), (4, 0, 0.1)]) is True
     assert symmetry_trend([(1, 0, 0.1), (2, 0, 0.3)]) is False
-    wobble = [(1, 0, 0.5), (2, 0, 0.5 + 1e-12)]
-    assert symmetry_trend(wobble) is True
-    assert symmetry_trend(wobble, slack=0.0) is False
+    # a rise within the 1e-9 slack still counts as decreasing, one beyond it does not
+    assert symmetry_trend([(1, 0, 0.5), (2, 0, 0.5 + 1e-12)]) is True
+    assert symmetry_trend([(1, 0, 0.5), (2, 0, 0.5 + 1e-8)]) is False
 
 
 def test_run_record_validation():

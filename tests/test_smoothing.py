@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from pointwise_refit import refit_slope
 from weylab import (AtomicMeasure, MollifierFamily, PhiHierarchy, Rectangle,
                     build_mollifier, build_phi_hierarchy, reflection_heat_bound,
                     smoothed_riesz, tauberian_order_check, iterated_identity_report,
                     DIRICHLET, NEUMANN)
 from weylab import smoothing
 from weylab.cli import cmd_pointwise_check, cmd_tauberian_demo
-from weylab.smoothing import (MAX_HIERARCHY_K, TAB_HALF_WIDTH, TAB_STEP, WINDOW_HALF_WIDTH,
-                              _identity_sides)
+from weylab.smoothing import (FFT_SIZE, MAX_HIERARCHY_K, TAB_HALF_WIDTH, TAB_STEP,
+                              WINDOW_HALF_WIDTH, _identity_sides)
 
 FAM = build_mollifier()
 HIER = build_phi_hierarchy(FAM, 0.1)
@@ -25,10 +26,23 @@ ENVELOPE_POWER = 0.6
 ENVELOPE_SCALE = 16.0
 
 
+def _psi(fam, tau):
+    """psi by the family's trapezoid rule in xi, summed directly at each tau.
+
+    The family evaluates the same sum on its grid through one real FFT; this
+    direct sum is the reference for that tabulation (|tau| well below the alias
+    period).
+    """
+    xi = 2.0 * math.pi / (FFT_SIZE * TAB_STEP) * np.arange(fam._cos_coef.size)
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    return np.concatenate([np.cos(blk[:, None] * xi) @ fam._cos_coef
+                           for blk in np.array_split(tau, -(-tau.size // 8192))])
+
+
 def test_kernel_is_a_probability_density():
     assert abs(HIER.moments[0] - 1.0) < 1e-10
     taus = np.linspace(0.0, 60.0, 400)
-    assert np.all(FAM.phi(taus) >= 0.0)          # phi = psi^2 by construction
+    assert np.all(_psi(FAM, taus) ** 2 >= 0.0)   # phi = psi^2 by construction
     assert abs(FAM.chi_moment(0) - 1.0) < 1e-12
     assert FAM.chi_moment(3) == 0.0
 
@@ -53,9 +67,13 @@ def test_psi_tabulation_against_mpmath():
     for t, w in zip(taus, want):
         j = int(round(t / TAB_STEP))
         assert FAM.tab_grid[j] == t
-        assert abs(float(FAM.psi(t)[0]) - w) <= 1e-15, f"tau={t}"
+        assert abs(float(_psi(FAM, t)[0]) - w) <= 1e-15, f"tau={t}"
         assert abs(phi_tab[j] - w * w) <= 1e-15, f"tau={t}"
     assert abs(HIER.moments[0] - 1.0) <= 1e-13
+    # the FFT tabulation against the direct sum across the whole padded window
+    # (measured 2.8e-17)
+    j = np.arange(0, FAM.tab_grid.size, 997)
+    assert np.max(np.abs(phi_tab[j] - _psi(FAM, FAM.tab_grid[j]) ** 2)) <= 1e-16
 
 
 def _phi_hat(fam, xi):
@@ -92,7 +110,7 @@ def test_kernel_decay_envelope():
     # measured sup ratio 0.78
     taus = np.linspace(0.5, 150.0, 20000)
     env = ENVELOPE_SCALE * np.exp(-ENVELOPE_RATE * taus**ENVELOPE_POWER)
-    assert float(np.max(FAM.phi(taus) / env)) <= 1.0
+    assert float(np.max(_psi(FAM, taus) ** 2 / env)) <= 1.0
 
 
 def test_hierarchy_parity_is_structural():
@@ -429,34 +447,13 @@ def test_reflection_heat_bound():
         reflection_heat_bound(rect, DIRICHLET, (0.0, 0.5), 0.05)
 
 
-def _refit_slope(bc, x, gamma, grid):
-    # independent route on the unit square: separable eigenfunction weights
-    # u_m(x)^2 u_n(y)^2 on an (m, n) grid, the remainder at each lambda, maxima
-    # over 12 logarithmic blocks and a log-log line through them
-    m = np.arange(0 if bc == NEUMANN else 1, int(math.sqrt(grid[-1]) / math.pi) + 2)
-    if bc == DIRICHLET:
-        wx, wy = (2.0 * np.sin(m * math.pi * c) ** 2 for c in x)
-    else:
-        wx, wy = (np.where(m == 0, 1.0, 2.0) * np.cos(m * math.pi * c) ** 2 for c in x)
-    ev = math.pi**2 * (m[:, None] ** 2 + m[None, :] ** 2)
-    amp = wx[:, None] * wy[None, :]
-    lt = math.gamma(gamma + 1.0) / (4.0 * math.pi * math.gamma(gamma + 2.0))
-    rem = np.array([abs(np.sum(amp * np.clip(lam - ev, 0.0, None) ** gamma)
-                        - lt * lam ** (gamma + 1.0)) for lam in grid])
-    edges = np.geomspace(grid[0], grid[-1] * (1.0 + 1e-12), 13)
-    block = np.clip(np.digitize(grid, edges) - 1, 0, 11)
-    peaks = [sel[np.argmax(rem[sel])] for sel in (np.nonzero(block == b)[0] for b in range(12))
-             if sel.size]
-    return np.polyfit(0.5 * np.log(grid[peaks]), np.log(rem[peaks]), 1)[0]
-
-
 def test_pointwise_order_fit():
     """Envelope exponents of the pointwise remainder at desk-scale energies."""
     grid = np.geomspace(1e3, 1e5, 600)
     sq = Rectangle(1.0, 1.0)
     for x in ((0.5, 0.5), (0.31, 0.47)):
         slope = tauberian_order_check(sq, DIRICHLET, x, 1.0, grid)
-        assert abs(slope - _refit_slope(DIRICHLET, x, 1.0, grid)) < 1e-9, f"x={x}"
+        assert abs(slope - refit_slope(DIRICHLET, x, 1.0, grid)) < 1e-9, f"x={x}"
         assert 1.35 <= slope <= 1.65
     assert 0.3 <= tauberian_order_check(sq, DIRICHLET, (0.5, 0.5), 0.0, grid) <= 0.7
     assert 1.35 <= tauberian_order_check(sq, NEUMANN, (0.5, 0.5), 1.0, grid) <= 1.65
@@ -470,7 +467,7 @@ def test_pointwise_check_takes_points_near_the_walls():
     for bc, x in ((NEUMANN, (0.02, 0.5)), (DIRICHLET, (0.05, 0.05)), (NEUMANN, (0.05, 0.05))):
         rep = cmd_pointwise_check(argparse.Namespace(
             domain="unit-square", bc=bc, lam="1e3:1e5:600log", gamma=1.0, x=f"{x[0]},{x[1]}"))
-        assert abs(rep["fitted_exponent"] - _refit_slope(bc, x, 1.0, grid)) < 1e-9, f"{bc} x={x}"
+        assert abs(rep["fitted_exponent"] - refit_slope(bc, x, 1.0, grid)) < 1e-9, f"{bc} x={x}"
 
 
 def test_pointwise_order_fit_refusals():
