@@ -14,6 +14,7 @@ import numpy as np
 
 PIECEWISE_CONSTANT = "piecewise-constant-left"
 PIECEWISE_LINEAR = "piecewise-linear"
+BLOCK_ELEMENTS = 2**15   # elements per _eval_powers row block: 256 KB temporaries stay in L2
 
 
 class SampledFunction:
@@ -44,6 +45,7 @@ class SampledFunction:
         return self.values[i]
 
     def sup_abs(self):
+        """max |f| over the grid nodes: for a lift, a lower estimate of its sup between nodes."""
         return float(np.max(np.abs(self.values)))
 
 
@@ -83,17 +85,18 @@ def _power_basis(f, kappa):
 def _eval_powers(grid, coef_lo, coef_hi, s, prefactor):
     """prefactor * sum_j [coef_lo_j u^s + coef_hi_j u^{s+1}], u = (L - g_j)_+, at every node L of grid.
 
-    u vanishes for j >= i at node i, so a row chunk [i, e) reads only the
+    u vanishes for j >= i at node i, so a row block [i, e) reads only the
     columns [:e-1], and out[0] = 0.  The u^{s+1} product is skipped when every
-    coef_hi is 0 (piecewise-constant input).
+    coef_hi is 0 (piecewise-constant input).  A block holds about
+    BLOCK_ELEMENTS entries, so its temporaries stay in a core's L2 cache and
+    each block's product is one small dgemv.
     """
     n = len(grid)
     out = np.zeros(n)
     linear = np.any(coef_hi)
-    # rows per chunk: ~2^20 elements, so each temporary is ~8 MB
-    chunk = max(1, int(2**20 / n))
-    for i in range(1, n, chunk):
-        e = min(i + chunk, n)
+    rows = max(1, BLOCK_ELEMENTS // n)
+    for i in range(1, n, rows):
+        e = min(i + rows, n)
         u = grid[i:e, None] - grid[None, :e - 1]
         np.maximum(u, 0.0, out=u)
         p = u**s
@@ -135,7 +138,12 @@ def interpolation_constant(gamma):
 
 
 def riesz_interpolation_certificate(f, sigma, gamma):
-    """Certificate (lhs, rhs, ratio) for sup|f^{(sigma)}| <= C (sup|f|)^{1-s/g} (sup|f^{(gamma)}|)^{s/g}."""
+    """Certificate (lhs, rhs, ratio) for sup|f^{(sigma)}| <= C (sup|f|)^{1-s/g} (sup|f^{(gamma)}|)^{s/g}.
+
+    Each sup is taken over the grid nodes (SampledFunction.sup_abs).  The lifts
+    vary between nodes, so lhs and the gamma-lift's sup are lower estimates of
+    the sups over [0, grid[-1]].
+    """
     if not 0 < sigma < gamma:
         raise ValueError("need 0 < sigma < gamma")
     lhs = riesz_lift(f, sigma).sup_abs()

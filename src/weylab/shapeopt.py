@@ -12,6 +12,7 @@ from .spectra import _expand, _first_index
 ASPECT_RANGE = (0.05, 1.0)
 MAX_EVALUATIONS = 20000    # branch-and-bound evaluation cap; the gap is reported either way
 TREND_SLACK = 1e-9         # symmetry gaps may rise by this much and still count as decreasing
+PI2 = math.pi**2           # eigenvalue scale s of the unit-area aspect-rho rectangles
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,15 @@ class OptimizationRun:
 
 # ---- sort-free lattice sums ---------------------------------------------------------
 #
-# Aspect rho means sides rho^(-1/2) x rho^(1/2), so with s = pi^2 the eigenvalues
+# Aspect rho means sides rho^(-1/2) x rho^(1/2), so with s = PI2 = pi^2 the eigenvalues
 # are lambda_mn(rho) = s (m^2 rho + n^2 / rho), m, n >= lo.
 
 
-def _row_top(t, rho, s):
+def _row_top(t, rho):
     """Largest n with s n^2 / rho < t, row by row (lo - 1 or less when none)."""
-    n = np.floor(np.sqrt(np.maximum(t, 0.0) * rho / s))
-    n -= s * n * n / rho >= t
-    n += s * (n + 1.0) ** 2 / rho < t
+    n = np.floor(np.sqrt(np.maximum(t, 0.0) * rho / PI2))
+    n -= PI2 * n * n / rho >= t
+    n += PI2 * (n + 1.0) ** 2 / rho < t
     return n
 
 
@@ -84,15 +85,15 @@ def _sq_sum(n):
     return n * (n + 1.0) * (2.0 * n + 1.0) / 6.0
 
 
-def _rows(lam, rho_min, bc, s):
-    m = np.arange(_first_index(bc), math.floor(math.sqrt(lam / (s * rho_min))) + 2, dtype=float)
-    return m, s * m * m
+def _rows(lam, rho_min, bc):
+    m = np.arange(_first_index(bc), math.floor(math.sqrt(lam / (PI2 * rho_min))) + 2, dtype=float)
+    return m, PI2 * m * m
 
 
-def _row_data(lam, bc, s):
+def _row_data(lam, bc):
     """Per-run m, s m^2 and ceil(lam / (2 s max(m, 1))) on the longest rows, rho = 0.05."""
-    m, sm2 = _rows(lam, ASPECT_RANGE[0], bc, s)
-    return m, sm2, np.ceil(lam / (2.0 * s * np.maximum(m, 1.0)))
+    m, sm2 = _rows(lam, ASPECT_RANGE[0], bc)
+    return m, sm2, np.ceil(lam / (2.0 * PI2 * np.maximum(m, 1.0)))
 
 
 def rectangle_riesz_objective(rho, lam, gamma, bc):
@@ -110,23 +111,22 @@ def rectangle_riesz_objective(rho, lam, gamma, bc):
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     bc = check_bc(bc)
-    s = math.pi**2
-    return _lattice_sample(rho, lam, gamma, bc, s, *_rows(lam, rho, bc, s))[0]
+    return _lattice_sample(rho, lam, gamma, bc, *_rows(lam, rho, bc))[0]
 
 
-def _lattice_sample(rho, lam, gamma, bc, s, m, sm2):
+def _lattice_sample(rho, lam, gamma, bc, m, sm2):
     """(Riesz mean, row tops) at aspect rho over the rows m with s m^2 = sm2."""
     lo = _first_index(bc)
     t = lam - sm2 * rho
-    top = _row_top(t, rho, s)
+    top = _row_top(t, rho)
     if gamma == 1:
         cnt = np.maximum(top - lo + 1.0, 0.0)
-        return float(np.sum(cnt * t - s / rho * _sq_sum(top))), top
+        return float(np.sum(cnt * t - PI2 / rho * _sq_sum(top))), top
     mm, n = _expand(m, top, lo)
-    return float(np.sum((lam - s * (mm * mm * rho + n * n / rho)) ** gamma)), top
+    return float(np.sum((lam - PI2 * (mm * mm * rho + n * n / rho)) ** gamma)), top
 
 
-def _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, s, rows):
+def _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, rows):
     """Slope interval [lo, hi] and crossing sums (cp, cq, cmax) for R on [p, q].
 
     Each lattice term contributes w s (n^2/rho^2 - m^2) to dR/drho with w = gamma
@@ -156,7 +156,7 @@ def _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, s, rows):
     n_in = np.minimum(top_p, top_q)
     n_sup = np.maximum(np.maximum(top_p, top_q), cand)
     if gamma != 1:
-        return _termwise_slopes(p, q, lam, gamma, bc, s, m, n_sup)
+        return _termwise_slopes(p, q, lam, gamma, bc, m, n_sup)
     lo = _first_index(bc)
     # crossing terms n_in < n <= n_sup have w in [0, 1]: the lower slope keeps
     # their negative part (n <= q m), the upper slope their positive part (n >= p m)
@@ -165,16 +165,16 @@ def _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, s, rows):
     pos = np.maximum(k, np.ceil(p * m) - 1.0)
     b = np.maximum(n_sup, pos)
     s_a, s_k, s_b, s_pos = _sq_sum(np.array((a, k, b, pos))).sum(axis=1)
-    d_lo = -(sm2 @ (a - (lo - 1.0))) + s / q**2 * s_a
-    d_hi = -(sm2 @ (k - pos + b - (lo - 1.0))) + s / p**2 * (s_k + s_b - s_pos)
+    d_lo = -(sm2 @ (a - (lo - 1.0))) + PI2 / q**2 * s_a
+    d_hi = -(sm2 @ (k - pos + b - (lo - 1.0))) + PI2 / p**2 * (s_k + s_b - s_pos)
     return float(d_lo), float(d_hi), 0.0, 0.0, 0.0
 
 
-def _termwise_slopes(p, q, lam, gamma, bc, s, m, n_sup):
+def _termwise_slopes(p, q, lam, gamma, bc, m, n_sup):
     m, n = _expand(m, n_sup, _first_index(bc))
-    lam_p = s * (m * m * p + n * n / p)
-    lam_q = s * (m * m * q + n * n / q)
-    lam_min = np.where(n <= m * p, lam_p, np.where(n >= m * q, lam_q, 2.0 * s * m * n))
+    lam_p = PI2 * (m * m * p + n * n / p)
+    lam_q = PI2 * (m * m * q + n * n / q)
+    lam_min = np.where(n <= m * p, lam_p, np.where(n >= m * q, lam_q, 2.0 * PI2 * m * n))
     lam_max = np.maximum(lam_p, lam_q)
 
     def weight(x):
@@ -192,7 +192,7 @@ def _termwise_slopes(p, q, lam, gamma, bc, s, m, n_sup):
             return float(np.sum(np.where(x > 0.0, np.maximum(x, 0.0) ** gamma, 0.0)))
 
         crossing = term(lam_p), term(lam_q), term(lam_min)
-    g_lo, g_hi = s * (n * n / q**2 - m * m), s * (n * n / p**2 - m * m)
+    g_lo, g_hi = PI2 * (n * n / q**2 - m * m), PI2 * (n * n / p**2 - m * m)
     return (float(np.sum(np.minimum(w_lo * g_lo, w_hi * g_lo))),
             float(np.sum(np.maximum(w_lo * g_hi, w_hi * g_hi))), *crossing)
 
@@ -214,7 +214,7 @@ def _rectangle_bound(p, q, fp, fq, lam, gamma, bc, rows):
     (gamma < 1) by their largest value above and by 0 below.
     """
     sign = 1.0 if bc == DIRICHLET else -1.0
-    d_lo, d_hi, cp, cq, cmax = _slope_enclosure(p, q, fp[1], fq[1], lam, gamma, bc, math.pi**2, rows)
+    d_lo, d_hi, cp, cq, cmax = _slope_enclosure(p, q, fp[1], fq[1], lam, gamma, bc, rows)
     slopes = (d_lo, d_hi) if sign > 0 else (-d_hi, -d_lo)
     return (_interval_bound(p, q, fp[0] - sign * cp, fq[0] - sign * cq, *slopes)
             + max(0.0, sign * cmax))
@@ -259,15 +259,15 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
         raise ValueError("lambda must be > 0")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    sign, s = 1.0 if bc == DIRICHLET else -1.0, math.pi**2
-    rows = _row_data(lam, bc, s)
+    sign = 1.0 if bc == DIRICHLET else -1.0
+    rows = _row_data(lam, bc)
     lo = _first_index(bc)
     trace = []
 
     def f(rho):
         # rho's own rows are a prefix of the run's rows, bit for bit what _rows gives
-        k = math.floor(math.sqrt(lam / (s * rho))) + 2 - lo
-        val, tops = _lattice_sample(rho, lam, gamma, bc, s, rows[0][:k], rows[1][:k])
+        k = math.floor(math.sqrt(lam / (PI2 * rho))) + 2 - lo
+        val, tops = _lattice_sample(rho, lam, gamma, bc, rows[0][:k], rows[1][:k])
         trace.append((float(rho), val))
         return sign * val, tops
 

@@ -1,6 +1,7 @@
 """Fractional lifts, the semigroup law, and the interpolation certificate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from weylab import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, SampledFunction,
                     interpolation_constant, rectangle_spectrum,
                     riesz_interpolation_certificate, riesz_lift, semigroup_check, DIRICHLET)
+from weylab import riesz
 
 
 def _random_sampled(rng, kind, n_lo=4, n_hi=40):
@@ -60,14 +62,22 @@ def test_lift_of_unit_constant_is_power():
         assert np.max(np.abs(lf.values - want)) < 1e-12 * max(1.0, want[-1])
 
 
-def test_lift_of_a_counting_function_is_the_direct_riesz_sum():
-    # N(L) = #{lambda_n <= L}, left-constant on its distinct eigenvalues: its
-    # order-kappa lift is sum_n (L - lambda_n)_+^kappa / Gamma(kappa + 1)
-    spec = rectangle_spectrum(1.0, 1.37, DIRICHLET, 1.5e4)
-    ev = spec.eigenvalues
+def _rectangle_count():
+    """Eigenvalues and counting function N(L) = #{lambda_n <= L} of a Dirichlet rectangle.
+
+    N is left-constant on its distinct eigenvalues (1 588 nodes with 0), so
+    _eval_powers runs it in 80 row blocks of 20 rows.
+    """
+    ev = rectangle_spectrum(1.0, 1.37, DIRICHLET, 1.5e4).eigenvalues
     grid = np.concatenate(([0.0], np.unique(ev)))
-    assert grid.size > 1500     # several _eval_powers row chunks
-    f = SampledFunction(grid, np.searchsorted(ev, grid, side="right"), PIECEWISE_CONSTANT)
+    return ev, SampledFunction(grid, np.searchsorted(ev, grid, side="right"), PIECEWISE_CONSTANT)
+
+
+def test_lift_of_a_counting_function_is_the_direct_riesz_sum():
+    # N's order-kappa lift is sum_n (L - lambda_n)_+^kappa / Gamma(kappa + 1)
+    ev, f = _rectangle_count()
+    grid = f.grid
+    assert grid.size > 1500     # more than one _eval_powers row block
     d = np.maximum(grid[:, None] - ev[None, :], 0.0)
     for kappa in (0.5, 1.0, 1.5):
         want = np.sum(d**kappa, axis=1) / math.gamma(kappa + 1.0)
@@ -95,6 +105,57 @@ def test_piecewise_linear_lift_against_alg_quadrature():
         got = riesz_lift(f, kappa).values
         want = [_alg_quadrature_lift(f, kappa, i) for i in range(len(f.grid))]
         assert np.max(np.abs(got - want)) < 1e-10, kappa
+
+
+def test_piecewise_linear_lift_across_many_blocks():
+    # f interpolates sqrt(mu) on 3 001 nodes with U(0.5, 1.5) spacings: 300
+    # row blocks of 10 rows.  At kappa = 1 the lift is the integral of f, which
+    # the trapezoid rule gives exactly; at kappa = 2 it is the integral of
+    # (L - mu) f(mu), quadratic on each cell, where Simpson's rule is exact.
+    # Each cell's Simpson sum is linear in L, so the sum over the cells below
+    # node L is L * A - B with cumulative cell sums A and B.
+    g = np.concatenate(([0.0], np.cumsum(np.random.default_rng(2024).uniform(0.5, 1.5, 3000))))
+    v = np.sqrt(g)
+    f = SampledFunction(g, v, PIECEWISE_LINEAR)
+    h, mid, v_mid = np.diff(g), 0.5 * (g[:-1] + g[1:]), 0.5 * (v[:-1] + v[1:])
+    trapezoid = np.concatenate(([0.0], np.cumsum(0.5 * h * (v[:-1] + v[1:]))))
+    a = np.concatenate(([0.0], np.cumsum(h / 6.0 * (v[:-1] + 4.0 * v_mid + v[1:]))))
+    b = np.concatenate(([0.0], np.cumsum(h / 6.0 * (g[:-1] * v[:-1] + 4.0 * mid * v_mid
+                                                     + g[1:] * v[1:]))))
+    for kappa, want in ((1.0, trapezoid), (2.0, g * a - b)):
+        got = riesz_lift(f, kappa).values
+        assert got[0] == 0.0
+        # measured 1.8e-13 (kappa = 1) and 1.5e-13 (kappa = 2)
+        assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 1e-12, kappa
+
+
+def test_lift_footprint_stays_in_cache_sized_blocks():
+    # the peak is one row block's temporaries: measured 0.88 MB here, where
+    # 2^20-element blocks of 8 MB temporaries peak at 16.7 MB
+    _, f = _rectangle_count()
+    riesz_lift(f, 1.5)
+    tracemalloc.start()
+    try:
+        riesz_lift(f, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"lift peak {peak / 2**20:.2f} MB"
+
+
+@pytest.mark.parametrize("block", [lambda n: 2**20, lambda n: n], ids=["2^20", "one-row"])
+def test_lift_does_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks only regroup rows: each node sums the same nonzero terms, so only
+    # the products' roundoff may differ.  Measured worst relative difference from
+    # the default blocks: 8.8e-16 (one 2^20 chunk) and 1.3e-15 (one row per
+    # block).  A piecewise-linear input's u^{kappa+1} terms cancel, so there
+    # blocks differ by up to 2e-13; the exact sums above check that branch.
+    _, f = _rectangle_count()
+    default = {kappa: riesz_lift(f, kappa).values for kappa in (0.5, 1.0, 1.5)}
+    monkeypatch.setattr(riesz, "BLOCK_ELEMENTS", block(len(f.grid)))
+    for kappa, want in default.items():
+        got = riesz_lift(f, kappa).values
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), kappa
 
 
 def test_lift_monotone_for_nonnegative_input():

@@ -22,7 +22,7 @@ RHO_PREC = 2e-6
 
 def _tops(rho, lam, bc):
     """Row tops at rho on its own rows, as the optimizer samples them."""
-    return _row_top(lam - _rows(lam, rho, bc, math.pi**2)[1] * rho, rho, math.pi**2)
+    return _row_top(lam - _rows(lam, rho, bc)[1] * rho, rho)
 
 
 def _column_sum(lam, rhos):
@@ -75,9 +75,9 @@ def test_slope_enclosure_contains_the_difference_quotients():
         bc = DIRICHLET if rng.random() < 0.5 else NEUMANN
         p = float(rng.uniform(0.05, 0.95))
         q = min(1.0, p + float(10.0 ** rng.uniform(-4.0, -0.5)))
-        rows = _row_data(lam, bc, s)
+        rows = _row_data(lam, bc)
         top_p, top_q = _tops(p, lam, bc), _tops(q, lam, bc)
-        lo, hi, *crossing = _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, s, rows)
+        lo, hi, *crossing = _slope_enclosure(p, q, top_p, top_q, lam, gamma, bc, rows)
         assert crossing == [0.0, 0.0, 0.0]
         xs = np.linspace(p, q, 201)
         ys = np.array([rectangle_riesz_objective(x, lam, gamma, bc) for x in xs])
@@ -87,7 +87,7 @@ def test_slope_enclosure_contains_the_difference_quotients():
         if gamma == 1.0:
             m = np.arange(1 if bc == DIRICHLET else 0, int(math.sqrt(lam / (s * p))) + 2.0)
             n_sup = np.floor(np.sqrt(lam / s))  # superset: slack rows contribute zero
-            ref = _termwise_slopes(p, q, lam, 1.0, bc, s, m, np.full(m.shape, n_sup))
+            ref = _termwise_slopes(p, q, lam, 1.0, bc, m, np.full(m.shape, n_sup))
             assert ref[2:] == (0.0, 0.0, 0.0)
             assert abs(ref[0] - lo) <= 1e-12 * (abs(lo) + abs(hi))
             assert abs(ref[1] - hi) <= 1e-12 * (abs(lo) + abs(hi))
@@ -98,18 +98,17 @@ def test_padded_tops_are_the_tops_on_the_longer_rows():
     # per-run row constants sliced to p's rows; q's tops padded with -1 must be
     # bit for bit what _row_top gives on p's rows
     rng = np.random.default_rng(31)
-    s = math.pi**2
     for _ in range(200):
         lam = float(10.0 ** rng.uniform(0.5, 6.0))
         bc = DIRICHLET if rng.random() < 0.5 else NEUMANN
         p, q = np.sort(rng.uniform(0.05, 1.0, 2))
-        m, sm2 = _rows(lam, p, bc, s)
+        m, sm2 = _rows(lam, p, bc)
         top_p, top_q = _tops(p, lam, bc), _tops(q, lam, bc)
-        rows = _row_data(lam, bc, s)
+        rows = _row_data(lam, bc)
         assert np.array_equal(rows[0][:len(m)], m) and np.array_equal(rows[1][:len(m)], sm2)
         assert len(top_p) == len(m)
         padded = np.concatenate((top_q, np.full(len(top_p) - len(top_q), -1.0)))
-        assert np.array_equal(padded, _row_top(lam - sm2 * q, q, s))
+        assert np.array_equal(padded, _row_top(lam - sm2 * q, q))
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5])
@@ -213,7 +212,7 @@ def test_interval_bound_dominates_the_objective():
         q = min(1.0, p + float(10.0 ** rng.uniform(-4.0, -0.5)))
         xs = np.linspace(p, q, 201)
         ys = sign * np.array([rectangle_riesz_objective(x, lam, gamma, bc) for x in xs])
-        rows = _row_data(lam, bc, math.pi**2)
+        rows = _row_data(lam, bc)
         top = _rectangle_bound(p, q, (ys[0], _tops(p, lam, bc)), (ys[-1], _tops(q, lam, bc)),
                                lam, gamma, bc, rows)
         assert ys.max() <= top + 1e-12 * (np.abs(ys).max() + 1.0)
