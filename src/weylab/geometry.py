@@ -337,17 +337,13 @@ def corner_params(poly):
     return CornerParams(float(np.min(poly.angles)), 0.5 * sup)
 
 
-def random_convex_polygon(rng, scale=1.0):
-    """Random strictly convex polygon (hull of uniform points), for test sweeps."""
+def random_convex_polygon(rng):
+    """Random strictly convex polygon: the hull of uniform points in the unit square."""
     for _ in range(100):
         k = int(rng.integers(4, RANDOM_POLYGON_MAX_POINTS + 1))
-        pts = rng.random((k, 2)) * scale
+        pts = rng.random((k, 2))
         try:
-            hull = ConvexHull(pts)
-        except QhullError:  # degenerate point set: draw again
-            continue
-        try:
-            return ConvexPolygon(pts[hull.vertices])
-        except ValueError:  # near-degenerate hull: draw again
+            return ConvexPolygon(pts[ConvexHull(pts).vertices])
+        except (QhullError, ValueError):  # degenerate point set or near-degenerate hull: draw again
             continue
     raise RuntimeError("failed to generate a random convex polygon")

@@ -1,11 +1,11 @@
-"""Fractional Riesz lifts of sampled functions and the identities built on them.
+"""Fractional Riesz lifts of step functions and the identities built on them.
 
 The lift (1/Gamma(kappa)) * int_0^Lambda (Lambda-mu)^{kappa-1} f(mu) dmu of a
-tabulated interpolant is exactly a finite sum of plus-powers (Lambda-g_j)_+^kappa
-and (Lambda-g_j)_+^{kappa+1} anchored at the grid nodes, so it is evaluated
-as that sum and the kappa < 1 endpoint singularity costs nothing.  On top sit
-the semigroup law and the log-convexity interpolation certificate with its
-explicit constant.
+left-constant step function is exactly sum_j c_j (Lambda-g_j)_+^kappa over its
+jumps c_j at the grid nodes g_j, so it is evaluated as that sum and the
+kappa < 1 endpoint singularity costs nothing.  On top sit the semigroup law
+and the log-convexity interpolation certificate with its explicit constant.
+A lift's output is labelled piecewise-linear and is not lifted again.
 """
 
 import math
@@ -50,80 +50,64 @@ class SampledFunction:
 
 
 def riesz_lift(f, kappa):
-    """Riesz lift of order kappa as the plus-power sum of `_power_basis`; returns a piecewise-linear sample."""
+    """Riesz lift of order kappa of a step function; returns a sample labelled piecewise-linear."""
     if not kappa > 0:
         raise ValueError("kappa must be > 0")
-    a, b = _power_basis(f, kappa)
-    return SampledFunction(f.grid, _eval_powers(f.grid, a, b, kappa, 1.0 / math.gamma(kappa)),
-                           PIECEWISE_LINEAR)
+    return SampledFunction(f.grid, _eval_powers(f.grid, _power_basis(f, kappa), kappa,
+                                                1.0 / math.gamma(kappa)), PIECEWISE_LINEAR)
 
 
 def _power_basis(f, kappa):
-    """Coefficients (a, b) with lift(f, kappa)(L) = sum_j [a_j u^k + b_j u^{k+1}]/Gamma(k), u=(L-g_j)_+.
+    """Coefficients a with lift(f, kappa)(L) = sum_j a_j (L - g_j)_+^kappa / Gamma(kappa).
 
-    Integrating the interpolant cell by cell against the kernel leaves only
-    shifted plus-powers anchored at the grid nodes, so the lift of a sampled
-    function is exactly a finite combination of them.
+    The constant v_j on [g_j, g_{j+1}) lifts to v_j [(L-g_j)_+^kappa - (L-g_{j+1})_+^kappa] / kappa,
+    so a_j is the jump of f at g_j over kappa.  Piecewise-linear input is refused: its
+    u^{kappa+1} terms cancel, losing about 8 digits on mixed-sign input (ROADMAP item 13).
     """
-    g = f.grid
-    n = len(g)
-    if f.interpolation == PIECEWISE_CONSTANT:
-        slopes = np.zeros(n - 1)
-    else:
-        slopes = np.diff(f.values) / np.diff(g)
+    if f.interpolation != PIECEWISE_CONSTANT:
+        raise ValueError("Riesz lifts take step functions only; lifting piecewise-linear"
+                         " input waits for a better-conditioned basis (ROADMAP item 13)")
     v = f.values[:-1]
-    w = np.diff(g)
-    a = np.zeros(n)
-    b = np.zeros(n)
+    a = np.zeros(len(f.grid))
     a[:-1] += v / kappa
-    a[1:] -= (v + slopes * w) / kappa
-    b[:-1] += slopes / (kappa * (kappa + 1.0))
-    b[1:] -= slopes / (kappa * (kappa + 1.0))
-    return a, b
+    a[1:] -= v / kappa
+    return a
 
 
-def _eval_powers(grid, coef_lo, coef_hi, s, prefactor):
-    """prefactor * sum_j [coef_lo_j u^s + coef_hi_j u^{s+1}], u = (L - g_j)_+, at every node L of grid.
+def _eval_powers(grid, coef, s, prefactor):
+    """prefactor * sum_j coef_j u^s, u = (L - g_j)_+, at every node L of grid.
 
     u vanishes for j >= i at node i, so a row block [i, e) reads only the
-    columns [:e-1], and out[0] = 0.  The u^{s+1} product is skipped when every
-    coef_hi is 0 (piecewise-constant input).  A block holds about
-    BLOCK_ELEMENTS entries, so its temporaries stay in a core's L2 cache and
-    each block's product is one small dgemv.
+    columns [:e-1], and out[0] = 0.  A block holds about BLOCK_ELEMENTS
+    entries, so its temporaries stay in a core's L2 cache and each block's
+    product is one small dgemv.
     """
     n = len(grid)
     out = np.zeros(n)
-    linear = np.any(coef_hi)
     rows = max(1, BLOCK_ELEMENTS // n)
     for i in range(1, n, rows):
         e = min(i + rows, n)
         u = grid[i:e, None] - grid[None, :e - 1]
         np.maximum(u, 0.0, out=u)
-        p = u**s
-        out[i:e] = p @ coef_lo[:e - 1]
-        if linear:
-            out[i:e] += (p * u) @ coef_hi[:e - 1]
+        out[i:e] = u**s @ coef[:e - 1]
     return out * prefactor
 
 
 def semigroup_check(f, kappa1, kappa2):
     """Sup-norm deviation between the iterated lift and the order kappa1+kappa2 lift.
 
-    The iterated side carries the kappa1-lift exactly (as shifted plus-powers)
-    into the kappa2-lift via the Beta-function cell integrals, so the reported
-    deviation is pure evaluation error, not resampling error.  Both sides are
-    `_eval_powers` sums over the same nodes, so the deviation checks the
-    Gamma-factor algebra of that Beta-function lift, not an independent route
-    to the lift.  Returns the deviation.
+    The iterated side carries the kappa1-lift exactly (as shifted plus-powers) into the
+    kappa2-lift via the Beta-function cell integrals, so the deviation is pure evaluation
+    error, not resampling error.  Both sides are `_eval_powers` sums over the same nodes, so
+    it checks the Gamma-factor algebra of that lift, not an independent route to the lift.
     """
     if not (kappa1 > 0 and kappa2 > 0):
         raise ValueError("kappa1, kappa2 must be > 0")
-    a, b = _power_basis(f, kappa1)
+    a = _power_basis(f, kappa1)
     k = kappa1 + kappa2
     # (mu-c)_+^s lifts to Gamma(s+1)/Gamma(s+kappa2+1) (L-c)_+^{s+kappa2}
-    fac_a = math.gamma(kappa1 + 1.0) / math.gamma(k + 1.0)
-    fac_b = math.gamma(kappa1 + 2.0) / math.gamma(k + 2.0)
-    iterated = _eval_powers(f.grid, a * fac_a, b * fac_b, k, 1.0 / math.gamma(kappa1))
+    fac = math.gamma(kappa1 + 1.0) / math.gamma(k + 1.0)
+    iterated = _eval_powers(f.grid, a * fac, k, 1.0 / math.gamma(kappa1))
     direct = riesz_lift(f, k)
     return float(np.max(np.abs(iterated - direct.values)))
 

@@ -73,6 +73,10 @@ class Rectangle:
     def spectrum(self, bc, lambda_max, h=None):
         return rectangle_spectrum(self.a, self.b, bc, lambda_max)
 
+    def _neumann_count_bound(self):
+        """(c0, c1, c2) with N_N(mu) <= c0 + c1 sqrt(mu) + c2 mu: (a sqrt(mu)/pi + 1)(b sqrt(mu)/pi + 1)."""
+        return 1.0, (self.a + self.b) / math.pi, self.a * self.b / math.pi**2
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -100,6 +104,13 @@ class Disk:
 
     def spectrum(self, bc, lambda_max, h=None):
         return disk_spectrum(self.radius, bc, lambda_max)
+
+    def _neumann_count_bound(self):
+        """As Rectangle's, from N_N(mu) <= 1 + N_D(mu) + 2 ceil(R sqrt(mu)) <= 3 + 2R sqrt(mu) + R^2 mu/2.
+
+        The Rolle interlacing that disk_spectrum certifies leaves each order 1 <= nu < R sqrt(mu)
+        at most one more J_nu' zero than J_nu zeros; Li-Yau gives N_D(mu) <= |Omega| mu / (2 pi)."""
+        return 3.0, 2.0 * self.radius, 0.5 * self.radius**2
 
 
 # saved key's "shape" -> constructor taking the key's other entries
@@ -132,6 +143,7 @@ class Spectrum:
         self.complete_below = float(complete_below)
         self.domain = domain.key()
         self.area = domain.area
+        self.neumann_count_bound = domain._neumann_count_bound() if self.bc == NEUMANN else None
         self.exact = bool(exact)
         if block_ids is None:
             block_ids = np.zeros(len(ev), dtype=int)
@@ -450,16 +462,23 @@ def riesz_mean(spec, lam, gamma):
 def heat_trace(spec, t):
     """Heat trace over the certified part of the spectrum plus a tail bound.
 
-    The omitted tail sum_{lambda_n >= complete_below} e^{-t lambda_n} is bounded
-    using N(mu) <= 4^d L_{0,d}|Omega| mu^{d/2} for mu >= complete_below (d=2):
-    tail <= 16 L_{0,2}|Omega| t^{-1} (1 + t*Lambda) e^{-t*Lambda}.
+    The omitted tail sum_{lambda_n >= Lambda} e^{-t lambda_n}, Lambda = complete_below, is at
+    most t int_Lambda^inf e^{-t mu} N(mu) dmu for any bound N on the count.  Dirichlet takes
+    N(mu) = 16 L_{0,2}|Omega| mu (8 times Li-Yau's), Neumann the domain's c0 + c1 sqrt(mu) + c2 mu;
+    the erfc term is the integral of c1 sqrt(mu).
     """
     if not t > 0:
         raise ValueError("t must be > 0")
     ev = spec.eigenvalues[spec.eigenvalues < spec.complete_below]
     value = float(np.sum(np.exp(-t * ev)))
-    x = t * spec.complete_below
-    tail = 16.0 * lt_constant(0, 2) * spec.area / t * (1.0 + x) * math.exp(-x)
+    lam = spec.complete_below
+    x = t * lam
+    if spec.bc == DIRICHLET:
+        tail = 16.0 * lt_constant(0, 2) * spec.area / t * (1.0 + x) * math.exp(-x)
+    else:
+        c0, c1, c2 = spec.neumann_count_bound
+        tail = ((c0 + c1 * math.sqrt(lam) + c2 * (lam + 1.0 / t)) * math.exp(-x)
+                + 0.5 * c1 * math.sqrt(math.pi / t) * math.erfc(math.sqrt(x)))
     return value, tail
 
 

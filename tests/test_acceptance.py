@@ -228,7 +228,7 @@ def test_10_convex_geometry_suite():
         for base in (center, poly.vertices[0]):
             prof = bishop_gromov_profile(poly, base, radii)
             worst_bg = max(worst_bg, float(np.max(np.diff(prof))))
-    poly = random_convex_polygon(np.random.default_rng(7), scale=2.0)
+    poly = ConvexPolygon(random_convex_polygon(np.random.default_rng(7)).vertices * 2.0)
     r = 0.4
     est, sigma = _steiner_monte_carlo(poly, r, seed=2024)
     closed = poly.area + r * poly.perimeter + math.pi * r * r   # Steiner formula for |P + B_r|

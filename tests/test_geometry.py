@@ -87,6 +87,11 @@ def erode(poly, s):
         return None
 
 
+def _scaled_random_polygon(rng, s):
+    """random_convex_polygon(rng) with its vertices times s: the hull of the s-scaled points."""
+    return ConvexPolygon(random_convex_polygon(rng).vertices * s)
+
+
 def _strictly_inside(poly, point):
     return bool(np.all(poly.normals @ np.asarray(point, dtype=float) < poly.offsets))
 
@@ -135,7 +140,7 @@ def test_scaled_and_translated():
 
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(21)
-    p = random_convex_polygon(rng, scale=2.5)
+    p = _scaled_random_polygon(rng, 2.5)
     path = tmp_path / "poly.json"
     save_polygon(p, path)
     q = load_polygon(path)
@@ -171,7 +176,7 @@ def _inradius_by_edge_triples(p):
 def test_chebyshev_center_against_independent_oracles():
     rng = np.random.default_rng(151)
     for _ in range(500):
-        p = random_convex_polygon(rng, scale=float(rng.uniform(0.3, 4.0)))
+        p = _scaled_random_polygon(rng, float(rng.uniform(0.3, 4.0)))
         c, r = chebyshev_center(p)
         assert abs(r - _inradius_by_highs(p)) <= 1e-9 * r
         assert abs(r - _inradius_by_edge_triples(p)) <= 1e-12 * r
@@ -225,7 +230,7 @@ def test_erosion_pieces_against_clipping():
     # the schedule's quadratic pieces against Sutherland-Hodgman erosion
     rng = np.random.default_rng(152)
     polys = [SQ, ConvexPolygon.rectangle(1.0, 2.0), ConvexPolygon.regular(6), CUT]
-    polys += [random_convex_polygon(rng, scale=float(rng.uniform(0.3, 4.0))) for _ in range(50)]
+    polys += [_scaled_random_polygon(rng, float(rng.uniform(0.3, 4.0))) for _ in range(50)]
     for p in polys:
         pieces = geometry._collapse_schedule(p).pieces
         assert pieces[0][0] == 0.0
@@ -268,7 +273,7 @@ def test_boundary_layer_bound_random_sweep():
     """|{d < s}| <= s * Per with strict margin away from s = 0."""
     rng = np.random.default_rng(7)
     for _ in range(40):
-        p = random_convex_polygon(rng, scale=float(rng.uniform(0.5, 3.0)))
+        p = _scaled_random_polygon(rng, float(rng.uniform(0.5, 3.0)))
         r_in = inradius(p)
         for f in (0.1, 0.35, 0.62, 0.85, 1.0):
             s = f * r_in
@@ -280,7 +285,7 @@ def test_theta_equals_perimeter():
     assert abs(theta_omega(SQ) - 4.0) < 1e-12
     rng = np.random.default_rng(17)
     for _ in range(50):
-        p = random_convex_polygon(rng, scale=float(rng.uniform(0.3, 4.0)))
+        p = _scaled_random_polygon(rng, float(rng.uniform(0.3, 4.0)))
         assert abs(theta_omega(p) - p.perimeter) < 1e-9 * p.perimeter
 
 
@@ -310,7 +315,7 @@ def test_disk_areas_between_inscribed_and_circumscribed_polygons():
     rng = np.random.default_rng(153)
     sides = 1024
     for _ in range(12):
-        p = random_convex_polygon(rng, scale=float(rng.uniform(0.3, 4.0)))
+        p = _scaled_random_polygon(rng, float(rng.uniform(0.3, 4.0)))
         c, r_in = chebyshev_center(p)
         base = c + 0.9 * (p.vertices[0] - c) * rng.uniform()
         radii = np.geomspace(0.2 * r_in, 2.0 * p.scale, 6)
@@ -334,7 +339,7 @@ def test_bishop_gromov_small_radius_limits():
 def test_bishop_gromov_monotone_random_sweep():
     rng = np.random.default_rng(31)
     for _ in range(30):
-        p = random_convex_polygon(rng, scale=float(rng.uniform(0.5, 2.5)))
+        p = _scaled_random_polygon(rng, float(rng.uniform(0.5, 2.5)))
         r_in = inradius(p)
         radii = np.geomspace(0.05 * r_in, 3.0 * p.scale, 14)
         c, _ = chebyshev_center(p)

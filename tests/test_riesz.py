@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from weylab import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, SampledFunction,
                     interpolation_constant, rectangle_spectrum,
@@ -13,10 +12,10 @@ from weylab import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, SampledFunction,
 from weylab import riesz
 
 
-def _random_sampled(rng, kind, n_lo=4, n_hi=40):
-    n = int(rng.integers(n_lo, n_hi))
+def _random_sampled(rng, n_hi=40):
+    n = int(rng.integers(4, n_hi))
     grid = np.concatenate(([0.0], np.cumsum(rng.random(n) + 0.02)))
-    return SampledFunction(grid, rng.normal(size=n + 1), kind)
+    return SampledFunction(grid, rng.normal(size=n + 1), PIECEWISE_CONSTANT)
 
 
 def test_sampled_function_validation():
@@ -42,14 +41,26 @@ def test_sampled_function_evaluation_conventions():
 
 
 def test_lift_against_quadrature_oracle():
-    """Frozen 40-digit adaptive-quadrature values for two fixed inputs."""
+    """Frozen 40-digit adaptive-quadrature value for a fixed step function."""
     f = SampledFunction([0.0, 0.5, 1.2, 2.0], [1.0, 3.0, 2.0, 2.0], PIECEWISE_CONSTANT)
     lf = riesz_lift(f, 0.6)
     assert abs(lf.values[-1] - 3.572267573413168846) < 1e-12
+    assert lf.interpolation == PIECEWISE_LINEAR
+
+
+def test_piecewise_linear_input_is_refused():
+    # a piecewise-linear lift's (L - g_j)_+^{kappa+1} terms cancel on mixed-sign
+    # input: a lift of a lift, or of any piecewise-linear sample, raises instead
+    # of losing digits
     g = SampledFunction([0.0, 0.4, 1.2], [0.0, 2.0, 1.0], PIECEWISE_LINEAR)
-    lg = riesz_lift(g, 1.7)
-    assert abs(lg.values[-1] - 1.1409639937689570027) < 1e-12
-    assert lg.interpolation == PIECEWISE_LINEAR
+    lifted = riesz_lift(SampledFunction([0.0, 0.4, 1.2], [0.0, 2.0, 1.0]), 0.5)
+    for h in (g, lifted):
+        with pytest.raises(ValueError, match="step functions only"):
+            riesz_lift(h, 1.7)
+        with pytest.raises(ValueError, match="step functions only"):
+            semigroup_check(h, 0.5, 1.0)
+        with pytest.raises(ValueError, match="step functions only"):
+            riesz_interpolation_certificate(h, 0.5, 1.0)
 
 
 def test_lift_of_unit_constant_is_power():
@@ -85,50 +96,6 @@ def test_lift_of_a_counting_function_is_the_direct_riesz_sum():
         assert np.all(np.abs(got - want) <= 1e-12 * want), kappa
 
 
-def _alg_quadrature_lift(f, kappa, i):
-    """(1/Gamma(kappa)) int_0^{g_i} (g_i - mu)^{kappa-1} f(mu) dmu, one quad per grid cell."""
-    lam = f.grid[i]
-    total = 0.0
-    for c, d in zip(f.grid[:i - 1], f.grid[1:i]):
-        total += quad(lambda mu: f(mu) * (lam - mu) ** (kappa - 1.0), c, d,
-                      epsabs=1e-14, epsrel=1e-12)[0]
-    if i:   # the kernel's endpoint singularity sits in the last cell
-        total += quad(f, f.grid[i - 1], lam, weight="alg", wvar=(0.0, kappa - 1.0),
-                      epsabs=1e-14, epsrel=1e-12)[0]
-    return total / math.gamma(kappa)
-
-
-def test_piecewise_linear_lift_against_alg_quadrature():
-    rng = np.random.default_rng(5)
-    f = _random_sampled(rng, PIECEWISE_LINEAR, n_lo=9, n_hi=10)
-    for kappa in (0.35, 1.0, 1.7, 2.6):
-        got = riesz_lift(f, kappa).values
-        want = [_alg_quadrature_lift(f, kappa, i) for i in range(len(f.grid))]
-        assert np.max(np.abs(got - want)) < 1e-10, kappa
-
-
-def test_piecewise_linear_lift_across_many_blocks():
-    # f interpolates sqrt(mu) on 3 001 nodes with U(0.5, 1.5) spacings: 300
-    # row blocks of 10 rows.  At kappa = 1 the lift is the integral of f, which
-    # the trapezoid rule gives exactly; at kappa = 2 it is the integral of
-    # (L - mu) f(mu), quadratic on each cell, where Simpson's rule is exact.
-    # Each cell's Simpson sum is linear in L, so the sum over the cells below
-    # node L is L * A - B with cumulative cell sums A and B.
-    g = np.concatenate(([0.0], np.cumsum(np.random.default_rng(2024).uniform(0.5, 1.5, 3000))))
-    v = np.sqrt(g)
-    f = SampledFunction(g, v, PIECEWISE_LINEAR)
-    h, mid, v_mid = np.diff(g), 0.5 * (g[:-1] + g[1:]), 0.5 * (v[:-1] + v[1:])
-    trapezoid = np.concatenate(([0.0], np.cumsum(0.5 * h * (v[:-1] + v[1:]))))
-    a = np.concatenate(([0.0], np.cumsum(h / 6.0 * (v[:-1] + 4.0 * v_mid + v[1:]))))
-    b = np.concatenate(([0.0], np.cumsum(h / 6.0 * (g[:-1] * v[:-1] + 4.0 * mid * v_mid
-                                                     + g[1:] * v[1:]))))
-    for kappa, want in ((1.0, trapezoid), (2.0, g * a - b)):
-        got = riesz_lift(f, kappa).values
-        assert got[0] == 0.0
-        # measured 1.8e-13 (kappa = 1) and 1.5e-13 (kappa = 2)
-        assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 1e-12, kappa
-
-
 def test_lift_footprint_stays_in_cache_sized_blocks():
     # the peak is one row block's temporaries: measured 0.88 MB here, where
     # 2^20-element blocks of 8 MB temporaries peak at 16.7 MB
@@ -148,8 +115,7 @@ def test_lift_does_not_depend_on_the_block_size(monkeypatch, block):
     # blocks only regroup rows: each node sums the same nonzero terms, so only
     # the products' roundoff may differ.  Measured worst relative difference from
     # the default blocks: 8.8e-16 (one 2^20 chunk) and 1.3e-15 (one row per
-    # block).  A piecewise-linear input's u^{kappa+1} terms cancel, so there
-    # blocks differ by up to 2e-13; the exact sums above check that branch.
+    # block).
     _, f = _rectangle_count()
     default = {kappa: riesz_lift(f, kappa).values for kappa in (0.5, 1.0, 1.5)}
     monkeypatch.setattr(riesz, "BLOCK_ELEMENTS", block(len(f.grid)))
@@ -163,7 +129,7 @@ def test_lift_monotone_for_nonnegative_input():
     # kappa - 1, which fails to be nonnegative for fractional orders below one
     rng = np.random.default_rng(11)
     for _ in range(10):
-        f = _random_sampled(rng, PIECEWISE_CONSTANT)
+        f = _random_sampled(rng)
         f = SampledFunction(f.grid, np.abs(f.values), PIECEWISE_CONSTANT)
         lf = riesz_lift(f, float(rng.uniform(1.0, 2.5)))
         assert np.all(np.diff(lf.values) >= -1e-14)
@@ -181,12 +147,11 @@ def test_semigroup_law_random_sweep():
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(20):
-        kind = PIECEWISE_CONSTANT if rng.random() < 0.5 else PIECEWISE_LINEAR
-        f = _random_sampled(rng, kind, n_hi=30)
+        f = _random_sampled(rng, n_hi=30)
         k1 = float(rng.uniform(0.3, 2.0))
         k2 = float(rng.uniform(0.3, 2.0))
         worst = max(worst, semigroup_check(f, k1, k2))
-    # measured 1.1e-11 for this seed; the law itself is exact, the residue is
+    # measured 1.2e-12 for this seed; the law itself is exact, the residue is
     # accumulated evaluation roundoff in the plus-power sums
     assert worst < 1e-8, f"semigroup deviation {worst:.3e}"
 
@@ -211,7 +176,7 @@ def test_interpolation_certificate_never_violated():
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(100):
-        f = _random_sampled(rng, PIECEWISE_CONSTANT)
+        f = _random_sampled(rng)
         gamma = float(rng.uniform(0.1, 1.0))
         sigma = gamma * float(rng.uniform(0.05, 0.95))
         lhs, rhs, ratio = riesz_interpolation_certificate(f, sigma, gamma)

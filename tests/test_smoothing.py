@@ -431,10 +431,17 @@ def test_iterated_identity_guards():
 
 
 def test_reflection_heat_bound():
+    # at the centre of the Dirichlet unit square the diagonal kernel is the square
+    # of the one-dimensional eigenfunction sum sum_m 2 sin^2(m pi / 2) e^{-pi^2 m^2 t};
+    # past m = 30 its terms add less than 2 e^{-31^2 pi^2 t} / (1 - e^{-pi^2 t}) < 1e-200
+    t, m = 0.05, np.arange(1, 31)
+    assert 2.0 * math.exp(-31**2 * math.pi**2 * t) / -math.expm1(-math.pi**2 * t) < 1e-200
+    line = np.sum(2.0 * np.sin(0.5 * m * math.pi) ** 2 * np.exp(-math.pi**2 * m**2 * t))
+    free = 1.0 / (4.0 * math.pi * t)
     rect = Rectangle(1.0, 1.0)
-    dev, bound = reflection_heat_bound(rect, DIRICHLET, (0.5, 0.5), 0.05)
-    assert abs(dev - 0.04260606497343189) < 1e-10
-    assert abs(bound - 0.45598654639838593) < 1e-10
+    dev, bound = reflection_heat_bound(rect, DIRICHLET, (0.5, 0.5), t)
+    assert abs(dev - abs(line**2 - free)) < 1e-12
+    assert abs(bound - free * math.exp(-0.25 / (4.0 * t))) < 1e-12
     # the one-reflection bound needs t small next to d(x)^2: stay in that regime
     rng = np.random.default_rng(13)
     for _ in range(25):

@@ -130,8 +130,9 @@ def test_every_public_function_is_reached(readme_block_run):
 
 
 def test_not_yet_reached_names_a_binder_or_an_open_item():
-    # an entry names a perfbench file that uses the name, or an open ROADMAP item
-    roadmap = (REPO / "ROADMAP.md").read_text()
+    # an entry names a perfbench file that uses the name, or an open ROADMAP item;
+    # only the open items count, not the numbered aims above them
+    open_items = (REPO / "ROADMAP.md").read_text().split("\n## Open items\n", 1)[1]
     wrong = []
     for name, why in NOT_YET_REACHED.items():
         if why.startswith("perfbench/"):
@@ -139,7 +140,7 @@ def test_not_yet_reached_names_a_binder_or_an_open_item():
             ok = path.is_file() and re.search(rf"\b{name.rsplit('.', 1)[1]}\b", path.read_text())
         else:
             item = re.fullmatch(r"item (\d+)", why)
-            ok = item and re.search(rf"^{item[1]}\. \*\*", roadmap, re.M)
+            ok = item and re.search(rf"^{item[1]}\. \*\*", open_items, re.M)
         if not ok:
             wrong.append(f"{name}: {why}")
     assert not wrong, f"entries that name neither a perfbench user nor an open item: {wrong}"

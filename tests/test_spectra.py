@@ -191,6 +191,27 @@ def test_heat_trace_tail_bound_is_honest():
         heat_trace(full, 0.0)
 
 
+@pytest.mark.parametrize("domain,bc", [(Rectangle(1.0, b), NEUMANN) for b in (1.0, 1e-1, 1e-2, 1e-3, 1e-4)]
+                         + [(Disk(1.0), DIRICHLET), (Disk(1.0), NEUMANN)],
+                         ids=["rect-1", "rect-1e-1", "rect-1e-2", "rect-1e-3", "rect-1e-4",
+                              "disk-dirichlet", "disk-neumann"])
+def test_heat_trace_tail_bounds_the_exact_omitted_tail(domain, bc):
+    # Lambda sits just below an eigenvalue, where the omitted tail is largest
+    # next to e^{-t Lambda}; the exact tail sums the spectrum up to 750/t, past
+    # which every term e^{-t lambda} underflows.  heat-check takes t = 30/Lambda:
+    # just below 4 pi^2 that is t = 0.75991, where a 16 L_{0,2}|Omega| mu count
+    # bound gave thin Neumann rectangles tails 1.9-193 times too small.
+    for target in (4 * PI2 * (1 - 1e-9), 60.0, 300.0):
+        ev = domain.spectrum(bc, target * 1.5).eigenvalues
+        lam = ev[np.searchsorted(ev, target)] * (1 - 1e-12)
+        cut = domain.spectrum(bc, lam)
+        for t in (2.0 / lam, 30.0 / lam):
+            full = domain.spectrum(bc, 750.0 / t).eigenvalues
+            exact = float(np.sum(np.exp(-t * full[full >= lam])))
+            tail = heat_trace(cut, t)[1]
+            assert exact > 0.0 and tail >= exact, (lam, t, tail, exact)
+
+
 def test_spectrum_save_load_roundtrip(tmp_path):
     # the loaded spectrum rebuilds its domain from the saved key, so the heat
     # trace (whose tail bound needs the area) comes back bit for bit
