@@ -138,7 +138,7 @@ def heat_polygon_error_bound(t, area, n_corners, alpha_min, big_r):
 
 def default_envelope_alpha(gamma):
     """Decay exponent parameter: 1 for gamma >= 1, 0.9*gamma below (0 at gamma = 0)."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
     return 1.0 if gamma >= 1.0 else 0.9 * gamma
 

@@ -34,15 +34,17 @@ def _ang(u, v):
 class ConvexPolygon:
     """Strictly convex polygon with counterclockwise vertices.
 
-    Construction validates orientation, strict convexity (relative cross
-    product tolerance 1e-12, i.e. turning sines must exceed it), and that the
-    interior angles sum to (n-2)*pi within 1e-10.
+    Construction validates finite vertices, orientation, strict convexity
+    (relative cross product tolerance 1e-12, i.e. turning sines must exceed it),
+    and that the interior angles sum to (n-2)*pi within 1e-10.
     """
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("need at least 3 planar vertices")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vertices must be finite")
         n = v.shape[0]
         nxt = np.arange(1, n + 1) % n
         e = v[nxt] - v

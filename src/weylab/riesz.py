@@ -37,13 +37,6 @@ class SampledFunction:
         self.values = values
         self.interpolation = interpolation
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.interpolation == PIECEWISE_LINEAR:
-            return np.interp(x, self.grid, self.values)
-        i = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, len(self.grid) - 1)
-        return self.values[i]
-
     def sup_abs(self):
         """max |f| over the grid nodes: for a lift, a lower estimate of its sup between nodes."""
         return float(np.max(np.abs(self.values)))

@@ -37,7 +37,7 @@ class OptimizationRun:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("lambda must be > 0")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be >= 0")
         if not (math.isfinite(self.certified_gap) and self.certified_gap >= 0):
             raise ValueError("certified_gap must be finite and >= 0")
@@ -108,7 +108,7 @@ def rectangle_riesz_objective(rho, lam, gamma, bc):
         raise ValueError("aspect ratio must be > 0")
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
     bc = check_bc(bc)
     return _lattice_sample(rho, lam, gamma, bc, *_rows(lam, rho, bc))[0]
@@ -257,7 +257,7 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
         raise ValueError("tol must be > 0")
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
     sign = 1.0 if bc == DIRICHLET else -1.0
     rows = _row_data(lam, bc)

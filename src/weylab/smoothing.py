@@ -113,7 +113,7 @@ def build_mollifier():
 class AtomicMeasure:
     """Atoms on the positive half-line plus a point mass at 0, odd-extended.
 
-    atoms: tuple of (location > 0, weight); K0 >= 0 is a point mass at 0.
+    atoms: tuple of (location > 0, weight); a finite K0 >= 0 is a point mass at 0.
     The augmented measure must be nonnegative at every atom.
     """
 
@@ -130,8 +130,8 @@ class AtomicMeasure:
         for loc, w in merged.items():
             if w < 0:
                 raise ValueError(f"augmented measure is negative at the atom {loc}")
-        if self.K0 < 0:
-            raise ValueError("K0 must be >= 0")
+        if not (math.isfinite(self.K0) and self.K0 >= 0):
+            raise ValueError("K0 must be finite and >= 0")
         object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
         object.__setattr__(self, "K0", float(self.K0))
 

@@ -452,7 +452,7 @@ def counting_function(spec, lam):
 
 def riesz_mean(spec, lam, gamma):
     """Riesz mean of order gamma at lam: sum of (lam - lambda_n)^gamma over lambda_n < lam."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
     k = counting_function(spec, lam)
     d = lam - spec.eigenvalues[:k]
@@ -490,7 +490,7 @@ def pointwise_spectral_function(rect, x, lam, gamma, bc):
     |u_mn(x)|^2 with (lam - lambda_mn)_+^gamma, or with [lambda_mn < lam] at gamma = 0.
     """
     bc = check_bc(bc)
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
     px, py = float(x[0]), float(x[1])
     if not (0.0 < px < rect.a and 0.0 < py < rect.b):

@@ -3,12 +3,10 @@
 import contextlib
 import io
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
-import weylab
 from weylab.cli import main
 from weylab.geometry import ConvexPolygon, save_polygon
 
@@ -39,8 +37,8 @@ def readme_block_run(tmp_path_factory):
         if event == "call":
             entered.add(frame.f_code)
 
-    caches = [f for mod in vars(weylab).values() if isinstance(mod, types.ModuleType)
-              for f in vars(mod).values() if hasattr(f, "cache_info")]
+    caches = [f for name, mod in list(sys.modules.items())
+              if name.startswith("weylab.") for f in vars(mod).values() if hasattr(f, "cache_info")]
     asked = [f.cache_info() for f in caches]
     runs = []
     with pytest.MonkeyPatch.context() as mp:

@@ -10,14 +10,16 @@ import time
 
 import numpy as np
 
-from weylab import (AtomicMeasure, ConvexPolygon, Rectangle, SampledFunction,
-                    bishop_gromov_profile, build_mollifier, build_phi_hierarchy,
-                    chebyshev_center, distance_level_volume, heat_polygon_error_bound,
-                    heat_polygon_prediction, heat_trace, inradius, iterated_identity_report,
-                    lt_constant, optimize_rectangle,
-                    polygon_dirichlet_spectrum_fd, random_convex_polygon,
-                    rectangle_spectrum, riesz_interpolation_certificate, riesz_mean,
-                    semigroup_check, tauberian_order_check, theta_omega, DIRICHLET, NEUMANN)
+from weylab.constants import (DIRICHLET, NEUMANN, heat_polygon_error_bound,
+                              heat_polygon_prediction, lt_constant)
+from weylab.geometry import (ConvexPolygon, bishop_gromov_profile, chebyshev_center,
+                             distance_level_volume, inradius, random_convex_polygon, theta_omega)
+from weylab.riesz import SampledFunction, riesz_interpolation_certificate, semigroup_check
+from weylab.shapeopt import optimize_rectangle
+from weylab.smoothing import (AtomicMeasure, build_mollifier, build_phi_hierarchy,
+                              iterated_identity_report, tauberian_order_check)
+from weylab.spectra import (Rectangle, heat_trace, polygon_dirichlet_spectrum_fd,
+                            rectangle_spectrum, riesz_mean)
 
 SQUARE = Rectangle(1.0, 1.0)
 

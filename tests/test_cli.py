@@ -11,7 +11,7 @@ import pytest
 
 import weylab
 from pointwise_refit import refit_slope
-from weylab import cli
+from weylab import cli, constants, shapeopt, smoothing, spectra
 from weylab.cli import main, parse_domain, parse_grid
 from weylab.constants import heat_polygon_error_bound
 from weylab.geometry import ConvexPolygon, corner_params, save_polygon
@@ -279,6 +279,33 @@ def test_shape_opt(tmp_path, capsys):
                                  "--tol", "1e-6"])
     gap = rep["results"]["runs"][0]["certified_gap"]
     assert isinstance(gap, float) and gap <= 1e-6
+
+
+NAN = float("nan")
+BAD_ORDERS = {
+    "shape-opt": lambda: cli.cmd_shape_opt(cli.build_parser().parse_args(
+        ["shape-opt", "--lambda", "1e3:1e3:1", "--gamma", "nan"])),
+    "optimize_rectangle": lambda: shapeopt.optimize_rectangle(1e3, NAN, "dirichlet"),
+    "rectangle_riesz_objective": lambda: shapeopt.rectangle_riesz_objective(1.0, 1e3, NAN,
+                                                                           "dirichlet"),
+    "OptimizationRun": lambda: shapeopt.OptimizationRun("rectangle", 10.0, NAN, "dirichlet", (),
+                                                        (1.0, 0.0), 0.0),
+    "riesz_mean": lambda: spectra.riesz_mean(
+        spectra.rectangle_spectrum(1.0, 1.0, "dirichlet", 1e3), 500.0, NAN),
+    "pointwise_spectral_function": lambda: spectra.pointwise_spectral_function(
+        Rectangle(1.0, 1.0), (0.5, 0.5), 500.0, NAN, "dirichlet"),
+    "default_envelope_alpha": lambda: constants.default_envelope_alpha(NAN),
+    "K0-nan": lambda: smoothing.AtomicMeasure(K0=NAN),
+    "K0-inf": lambda: smoothing.AtomicMeasure(K0=float("inf")),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ORDERS.values(), ids=BAD_ORDERS.keys())
+def test_nan_order_or_point_mass_is_refused_at_once(call):
+    # `gamma < 0` is false for NaN: past such a test shape-opt runs to its
+    # evaluation cap and fails on the certified gap, and riesz_mean returns nan
+    with pytest.raises(ValueError, match="gamma|K0"):
+        call()
 
 
 def test_report_goes_to_file_with_out(tmp_path, capsys):

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from weylab import (DIRICHLET, NEUMANN, boundary_sign, check_bc,
-                    corner_sum, default_envelope_alpha, error_envelope,
-                    heat_polygon_error_bound, heat_polygon_prediction,
-                    heat_two_term_prediction, lt_constant, one_term_prediction,
-                    three_term_polygon_prediction, two_term_prediction)
+from weylab.constants import (DIRICHLET, NEUMANN, boundary_sign, check_bc, corner_sum,
+                              default_envelope_alpha, error_envelope, heat_polygon_error_bound,
+                              heat_polygon_prediction, heat_two_term_prediction, lt_constant,
+                              one_term_prediction, three_term_polygon_prediction,
+                              two_term_prediction)
 
 
 def test_lt_constant_reference_values():

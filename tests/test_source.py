@@ -1,13 +1,15 @@
 """Source-level invariants of the weylab package."""
 
 import ast
-import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import weylab
 
@@ -146,17 +148,43 @@ def test_not_yet_reached_names_a_binder_or_an_open_item():
     assert not wrong, f"entries that name neither a perfbench user nor an open item: {wrong}"
 
 
+def _fresh(code, *args):
+    """stdout of `code` run in a fresh interpreter with weylab's src on the path."""
+    src = str(Path(weylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_benchmark_span_targets_exist():
-    # perfbench/spans.py wraps these functions and methods by name, and a traced
-    # run raises on a missing one; catch a deletion here instead
-    missing = []
-    for modname, qual in _span_targets():
-        target = importlib.import_module(modname)
-        for name in qual.split("."):
-            target = getattr(target, name, None)
-        if not callable(target):
-            missing.append(f"{modname}.{qual}")
+    # perfbench/worker.py imports weylab.cli alone, then spans.py wraps these
+    # functions and methods by name in sys.modules, and a traced run raises on a
+    # missing one; a fresh interpreter that imports the same catches a deleted
+    # target and a module that cli no longer loads
+    code = ("import json, sys\n"
+            "import weylab.cli\n"
+            "missing = []\n"
+            "for modname, qual in json.loads(sys.argv[1]):\n"
+            "    target = sys.modules.get(modname)\n"
+            "    for name in qual.split('.'):\n"
+            "        target = getattr(target, name, None)\n"
+            "    if not callable(target):\n"
+            "        missing.append(f'{modname}.{qual}')\n"
+            "print(json.dumps(missing))")
+    missing = json.loads(_fresh(code, json.dumps(_span_targets())))
     assert not missing, f"benchmark span targets missing: {', '.join(missing)}"
+
+
+@pytest.mark.parametrize("module", ["weylab", "weylab.constants", "weylab.riesz"])
+def test_a_module_import_loads_no_other_module_and_no_scipy(module):
+    # the package root binds only __version__, and constants and riesz need only
+    # math and numpy: importing one of them loads no other weylab module and no scipy
+    code = (f"import sys, {module}\n"
+            "print(*(m for m in sys.modules if m.startswith(('weylab.', 'scipy'))))")
+    loaded = set(_fresh(code).split()) - {module}
+    assert not loaded, f"import {module} loads {len(loaded)} modules: {sorted(loaded)[:8]}"
 
 
 def test_geometry_imported_first_reaches_the_fd_solver():
@@ -165,9 +193,5 @@ def test_geometry_imported_first_reaches_the_fd_solver():
     code = ("import weylab.geometry as g\n"
             "s = g.ConvexPolygon.regular(6).spectrum('dirichlet', 200.0, 0.02)\n"
             "print(len(s), s.exact, s.domain['shape'])")
-    src = str(Path(weylab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    count, exact, shape = out.stdout.split()
+    count, exact, shape = _fresh(code).split()
     assert int(count) > 0 and exact == "False" and shape == "polygon"

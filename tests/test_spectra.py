@@ -7,11 +7,12 @@ import pytest
 from scipy.special import jn_zeros, jnp_zeros
 
 from weylab import spectra
-from weylab import (CapacityError, CertifiedRangeError, ConvexPolygon, Disk,
-                    InsufficientResolutionError, Rectangle, Spectrum, counting_function,
-                    dirichlet_neumann_trace_gap, disk_spectrum, heat_trace,
-                    pointwise_spectral_function, polygon_dirichlet_spectrum_fd,
-                    rectangle_spectrum, riesz_mean, DIRICHLET, NEUMANN)
+from weylab.constants import DIRICHLET, NEUMANN
+from weylab.geometry import ConvexPolygon
+from weylab.spectra import (CapacityError, CertifiedRangeError, Disk, InsufficientResolutionError,
+                            Rectangle, Spectrum, counting_function, dirichlet_neumann_trace_gap,
+                            disk_spectrum, heat_trace, pointwise_spectral_function,
+                            polygon_dirichlet_spectrum_fd, rectangle_spectrum, riesz_mean)
 
 PI2 = math.pi**2
 
