@@ -202,6 +202,8 @@ def cmd_tauberian_demo(args):
 
 
 def cmd_geometry(args):
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     worst = {"level_volume_bound": 0.0, "theta_vs_perimeter": 0.0, "bishop_gromov": 0.0}
     for _ in range(args.count):

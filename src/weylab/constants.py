@@ -28,8 +28,8 @@ def boundary_sign(bc):
 
 def _check_order(gamma, dim):
     """Validate the order/dimension pair of the semiclassical constants."""
-    if not (gamma >= 0):
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     if int(dim) != dim or dim < 1:
         raise ValueError(f"dim must be an integer >= 1, got {dim}")
 
@@ -138,8 +138,8 @@ def heat_polygon_error_bound(t, area, n_corners, alpha_min, big_r):
 
 def default_envelope_alpha(gamma):
     """Decay exponent parameter: 1 for gamma >= 1, 0.9*gamma below (0 at gamma = 0)."""
-    if not gamma >= 0:
-        raise ValueError("gamma must be >= 0")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be >= 0 and finite")
     return 1.0 if gamma >= 1.0 else 0.9 * gamma
 
 

@@ -37,8 +37,8 @@ class OptimizationRun:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("lambda must be > 0")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError("gamma must be >= 0 and finite")
         if not (math.isfinite(self.certified_gap) and self.certified_gap >= 0):
             raise ValueError("certified_gap must be finite and >= 0")
         objs = [obj for _, obj in self.optimizer_trace]
@@ -108,8 +108,8 @@ def rectangle_riesz_objective(rho, lam, gamma, bc):
         raise ValueError("aspect ratio must be > 0")
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    if not gamma >= 0:
-        raise ValueError("gamma must be >= 0")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be >= 0 and finite")
     bc = check_bc(bc)
     return _lattice_sample(rho, lam, gamma, bc, *_rows(lam, rho, bc))[0]
 
@@ -257,8 +257,8 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
         raise ValueError("tol must be > 0")
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    if not gamma >= 0:
-        raise ValueError("gamma must be >= 0")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be >= 0 and finite")
     sign = 1.0 if bc == DIRICHLET else -1.0
     rows = _row_data(lam, bc)
     lo = _first_index(bc)

@@ -29,6 +29,9 @@ BESSEL_GRID_STEP = 0.5
 # eigenpairs per shift-invert window of the FD solve
 FD_WINDOW_PAIRS = 75
 
+# Ritz vectors lifted from the half-size matrix to the 5-point matrix at a time
+LIFT_COLUMNS = 16
+
 
 class CapacityError(RuntimeError):
     """Requested enumeration would exceed the configured memory cap."""
@@ -49,8 +52,8 @@ class Rectangle:
     angles = (0.5 * math.pi,) * 4
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("rectangle sides must be > 0")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("rectangle sides must be > 0 and finite")
 
     @property
     def area(self):
@@ -84,8 +87,8 @@ class Disk:
     angles = None
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("disk radius must be > 0 and finite")
 
     @property
     def area(self):
@@ -343,9 +346,20 @@ def _ldlt(A, shift):
     return lu
 
 
-def _count_below(A, shift):
-    """Eigenvalues of symmetric A below shift, by Sylvester's law of inertia."""
-    return int(np.count_nonzero(_ldlt(A, shift).U.diagonal() < 0))
+def _count_below(red_black, cut):
+    """Eigenvalues below cut < d of A = d*I - [[0, C^T], [C, 0]], given red_black = (M, d)
+    with M = C^T C: those d - sqrt(mu) with mu > (d - cut)^2, by Sylvester's law of inertia."""
+    M, d = red_black
+    return int(np.count_nonzero(_ldlt(M, (d - cut) ** 2).U.diagonal() > 0))
+
+
+def _lift(C, x, mu, out):
+    """Into out: z = (x, C x / sqrt(mu)) / |z| per column, the A-eigenvector of each M-eigenpair."""
+    n_s = len(x)
+    out[:n_s] = x
+    out[n_s:] = C @ x / np.sqrt(mu)
+    out /= np.linalg.norm(out, axis=0)
+    return out
 
 
 def _gap_cut(w, resid, lo, hi, cut):
@@ -361,13 +375,18 @@ def _gap_cut(w, resid, lo, hi, cut):
 def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     """Every Dirichlet eigenvalue below lambda_max of the 5-point Laplacian on an h-aligned grid.
 
-    The inertia of A - lambda_max*I gives the count N.  [0, lambda_max) is sliced into
+    The grid graph is bipartite, so with the unknowns ordered by colour, smaller colour
+    first, A = d*I - [[0, C^T], [C, 0]] with d = 4/h^2, and every eigenvalue below d is
+    d - sqrt(mu) for an eigenvalue mu > 0 of M = C^T C, which has half the unknowns.  The
+    inertia of M gives the count N below lambda_max < d.  [0, lambda_max) is sliced into
     ceil(N / FD_WINDOW_PAIRS) equal windows, each cut's count again from inertia.  Each
-    window runs one shift-invert eigsh at its centre, for its count c plus two pairs, on
-    the same kind of symmetric L D L^T that gives the counts.  Every pair must have a
-    small residual, each window must hold exactly c Ritz values, and all N vectors must
-    be orthonormal.  A Ritz value within its residual of an interior cut moves that cut
-    into a clear gap, which is recounted; a second ambiguity there raises.
+    window runs one shift-invert eigsh on M at the midpoint of its mu-interval, for its
+    count c plus two pairs, on the same kind of symmetric L D L^T that gives the counts.
+    Each Ritz vector x is lifted to (x, C x / sqrt(mu)) and its value is the Rayleigh
+    quotient on A.  Every pair must have a small residual on A, each window must hold
+    exactly c Ritz values, and all N vectors must be orthonormal.  A Ritz value within its
+    residual of an interior cut moves that cut into a clear gap, which is recounted; a
+    second ambiguity there raises.
     """
     if not h > 0:
         raise ValueError("h must be > 0")
@@ -376,6 +395,9 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
         raise ValueError(f"h = {h} must be smaller than half the inradius {r_in}")
     if not lambda_max > 0:
         raise ValueError("lambda_max must be > 0")
+    d = 4.0 / h**2
+    if not lambda_max < d:
+        raise InsufficientResolutionError(f"lambda_max = {lambda_max} must lie below 4/h^2 = {d}")
     xmin, ymin = poly.vertices.min(axis=0)
     xmax, ymax = poly.vertices.max(axis=0)
     i_lo, i_hi = int(math.floor(xmin / h)), int(math.ceil(xmax / h))
@@ -387,21 +409,31 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     margin = 1e-6 * h  # grid points essentially on the boundary count as outside
     keep = np.flatnonzero(np.all(pts @ poly.normals.T < poly.offsets[None, :] - margin, axis=1))
     n_pts = len(keep)
+    # red-black colouring; the smaller colour's n_s points come first
+    row, col = np.divmod(keep, len(jj))
+    black = (row + col) % 2 == 1
+    if 2 * np.count_nonzero(black) > n_pts:
+        black = ~black
+    keep = keep[np.argsort(black, kind="stable")]
+    n_s = n_pts - int(np.count_nonzero(black))
     # 5-point Laplacian of the whole box restricted to the interior points: the
     # neighbours outside the polygon drop out, which is the Dirichlet condition
     d2 = [sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) for n in (len(jj), len(ii))]
     A = sparse.kronsum(*d2, format="csr")[keep][:, keep] / h**2
-    if (abs(A - A.T) > 1e-30).nnz:
-        raise RuntimeError("FD Laplacian is not symmetric")
-    num_eigs = _count_below(A, lambda_max)
-    if n_pts < max(num_eigs, 3) + 2:
-        raise InsufficientResolutionError(f"grid has {n_pts} interior points for N({lambda_max}) = {num_eigs}")
+    C = -A[n_s:, :n_s]
+    if (abs(A - sparse.bmat([[None, -C.T], [-C, None]]) - d * sparse.identity(n_pts)) > 0).nnz:
+        raise RuntimeError("FD Laplacian is not 4/h^2 minus a symmetric red-black coupling")
+    M = (C.T @ C).tocsr()
+    red_black = (M, d)
+    num_eigs = _count_below(red_black, lambda_max)
+    if n_s < max(num_eigs, 3) + 2:
+        raise InsufficientResolutionError(f"grid has {n_s} unknowns per colour for N({lambda_max}) = {num_eigs}")
     n_win = max(1, math.ceil(num_eigs / FD_WINDOW_PAIRS))
     cuts = [lambda_max * j / n_win for j in range(n_win + 1)]
-    below = [0] + [_count_below(A, c) for c in cuts[1:-1]] + [num_eigs]
+    below = [0] + [_count_below(red_black, c) for c in cuts[1:-1]] + [num_eigs]
     # seeded start vector, so identical inputs give identical bytes; a constant
     # vector would be orthogonal to every odd eigenvector of a symmetric domain
-    v0 = np.random.default_rng(0).standard_normal(n_pts)
+    v0 = np.random.default_rng(0).standard_normal(n_s)
     norm_a = 8.0 / h**2
     vals, vecs = np.empty(num_eigs), np.empty((n_pts, num_eigs))
     moved, j = set(), 0
@@ -409,15 +441,21 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
         lo, hi, count = cuts[j], cuts[j + 1], below[j + 1] - below[j]
         if count < 0:
             raise RuntimeError(f"inertia count at {hi} is below the inertia count at {lo}")
-        sigma = 0.5 * (lo + hi)
-        lu = _ldlt(A, sigma)
-        w, v = eigsh(A, k=min(count + 2, n_pts - 1), sigma=sigma, which="LM", v0=v0,
-                     OPinv=LinearOperator(A.shape, matvec=lu.solve, dtype=float))
+        sigma = 0.5 * ((d - lo) ** 2 + (d - hi) ** 2)
+        lu = _ldlt(M, sigma)
+        mu, x = eigsh(M, k=min(count + 2, n_s - 1), sigma=sigma, which="LM", v0=v0,
+                      OPinv=LinearOperator(M.shape, matvec=lu.solve, dtype=float))
         del lu
+        w, resid = np.empty(len(mu)), np.empty(len(mu))
+        for c in range(0, len(mu), LIFT_COLUMNS):
+            b = slice(c, min(c + LIFT_COLUMNS, len(mu)))
+            zb = _lift(C, x[:, b], mu[b], np.empty((n_pts, b.stop - c)))
+            Az = A @ zb
+            w[b] = np.einsum("ij,ij->j", zb, Az)
+            resid[b] = np.linalg.norm(Az - zb * w[b], axis=0)
         order = np.argsort(w)
-        w, v = w[order], v[:, order]
-        resid = np.linalg.norm(A @ v - v * w[None, :], axis=0)
-        if np.any(resid > 1e-9 * norm_a):
+        w, resid = w[order], resid[order]
+        if not np.all(resid <= 1e-9 * norm_a):
             worst = int(np.argmax(resid))
             raise RuntimeError(f"FD eigenpair {worst} residual {resid[worst]:.3e} exceeds 1e-9*||A|| = {1e-9 * norm_a:.3e}")
         near = [i for i in (j, j + 1) if 0 < i < n_win and np.any(np.abs(w - cuts[i]) <= resid)]
@@ -426,16 +464,20 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
             if i in moved:
                 raise RuntimeError(f"FD window cut {cuts[i]} stays ambiguous after recounting")
             cuts[i] = _gap_cut(w, resid, cuts[i - 1], cuts[i + 1], cuts[i])
-            below[i] = _count_below(A, cuts[i])
+            below[i] = _count_below(red_black, cuts[i])
             moved.add(i)
             j = i - 1
-            continue
-        inside = (w >= lo) & (w < hi)
-        if np.count_nonzero(inside) != count:
-            raise RuntimeError(f"eigsh finds {np.count_nonzero(inside)} eigenvalues in [{lo}, {hi}),"
-                               f" the inertia count {count}")
-        vals[below[j]:below[j + 1]], vecs[:, below[j]:below[j + 1]] = w[inside], v[:, inside]
-        j += 1
+        else:
+            inside = (w >= lo) & (w < hi)
+            if np.count_nonzero(inside) != count:
+                raise RuntimeError(f"eigsh finds {np.count_nonzero(inside)} eigenvalues in [{lo}, {hi}),"
+                                   f" the inertia count {count}")
+            vals[below[j]:below[j + 1]], cols = w[inside], order[inside]
+            for c in range(0, count, LIFT_COLUMNS):
+                b = cols[c:c + LIFT_COLUMNS]
+                _lift(C, x[:, b], mu[b], vecs[:, below[j] + c:below[j] + c + len(b)])
+            j += 1
+        del x  # before the next window's eigsh builds its workspace
     # orthonormality rules out one eigenpair returned twice in place of another
     gram = np.abs(vecs.T @ vecs - np.eye(num_eigs)).max(initial=0.0)
     if gram > 1e-8:
@@ -452,8 +494,8 @@ def counting_function(spec, lam):
 
 def riesz_mean(spec, lam, gamma):
     """Riesz mean of order gamma at lam: sum of (lam - lambda_n)^gamma over lambda_n < lam."""
-    if not gamma >= 0:
-        raise ValueError("gamma must be >= 0")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be >= 0 and finite")
     k = counting_function(spec, lam)
     d = lam - spec.eigenvalues[:k]
     return float(np.sum(d**gamma))
@@ -490,8 +532,8 @@ def pointwise_spectral_function(rect, x, lam, gamma, bc):
     |u_mn(x)|^2 with (lam - lambda_mn)_+^gamma, or with [lambda_mn < lam] at gamma = 0.
     """
     bc = check_bc(bc)
-    if not gamma >= 0:
-        raise ValueError("gamma must be >= 0")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be >= 0 and finite")
     px, py = float(x[0]), float(x[1])
     if not (0.0 < px < rect.a and 0.0 < py < rect.b):
         raise ValueError("x must lie strictly inside the rectangle")

@@ -45,6 +45,10 @@ def test_parse_domain(tmp_path):
         parse_domain("torus:1")
     with pytest.raises(ValueError):
         parse_domain("rect:2")
+    # infinite or NaN sizes are refused before the lattice enumeration overflows
+    for bad in ("rect:inf:1", "rect:1:inf", "rect:nan:1", "disk:inf", "disk:nan"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_domain(bad)
 
 
 def test_constants_table(capsys):
@@ -281,31 +285,53 @@ def test_shape_opt(tmp_path, capsys):
     assert isinstance(gap, float) and gap <= 1e-6
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
+
+
+def _order_checks(gamma):
+    """Every order check, each called with order gamma."""
+    return {
+        "shape-opt": lambda: cli.cmd_shape_opt(cli.build_parser().parse_args(
+            ["shape-opt", "--lambda", "1e3:1e3:1", f"--gamma={gamma}"])),
+        "optimize_rectangle": lambda: shapeopt.optimize_rectangle(1e3, gamma, "dirichlet"),
+        "rectangle_riesz_objective": lambda: shapeopt.rectangle_riesz_objective(
+            1.0, 1e3, gamma, "dirichlet"),
+        "OptimizationRun": lambda: shapeopt.OptimizationRun("rectangle", 10.0, gamma, "dirichlet",
+                                                            (), (1.0, 0.0), 0.0),
+        "riesz_mean": lambda: spectra.riesz_mean(
+            spectra.rectangle_spectrum(1.0, 1.0, "dirichlet", 1e3), 500.0, gamma),
+        "pointwise_spectral_function": lambda: spectra.pointwise_spectral_function(
+            Rectangle(1.0, 1.0), (0.5, 0.5), 500.0, gamma, "dirichlet"),
+        "default_envelope_alpha": lambda: constants.default_envelope_alpha(gamma),
+        "weyl-check": lambda: cli.cmd_weyl_check(cli.build_parser().parse_args(
+            ["weyl-check", "--lambda", "1e3:1e3:1", f"--gamma={gamma}"])),
+        "lt_constant": lambda: constants.lt_constant(gamma, 2),
+    }
+
+
 BAD_ORDERS = {
-    "shape-opt": lambda: cli.cmd_shape_opt(cli.build_parser().parse_args(
-        ["shape-opt", "--lambda", "1e3:1e3:1", "--gamma", "nan"])),
-    "optimize_rectangle": lambda: shapeopt.optimize_rectangle(1e3, NAN, "dirichlet"),
-    "rectangle_riesz_objective": lambda: shapeopt.rectangle_riesz_objective(1.0, 1e3, NAN,
-                                                                           "dirichlet"),
-    "OptimizationRun": lambda: shapeopt.OptimizationRun("rectangle", 10.0, NAN, "dirichlet", (),
-                                                        (1.0, 0.0), 0.0),
-    "riesz_mean": lambda: spectra.riesz_mean(
-        spectra.rectangle_spectrum(1.0, 1.0, "dirichlet", 1e3), 500.0, NAN),
-    "pointwise_spectral_function": lambda: spectra.pointwise_spectral_function(
-        Rectangle(1.0, 1.0), (0.5, 0.5), 500.0, NAN, "dirichlet"),
-    "default_envelope_alpha": lambda: constants.default_envelope_alpha(NAN),
+    **_order_checks(NAN),
+    **{f"{name}-inf": call for name, call in _order_checks(INF).items()},
+    **{f"{name}--inf": call for name, call in _order_checks(-INF).items()},
     "K0-nan": lambda: smoothing.AtomicMeasure(K0=NAN),
-    "K0-inf": lambda: smoothing.AtomicMeasure(K0=float("inf")),
+    "K0-inf": lambda: smoothing.AtomicMeasure(K0=INF),
 }
 
 
 @pytest.mark.parametrize("call", BAD_ORDERS.values(), ids=BAD_ORDERS.keys())
 def test_nan_order_or_point_mass_is_refused_at_once(call):
-    # `gamma < 0` is false for NaN: past such a test shape-opt runs to its
-    # evaluation cap and fails on the certified gap, and riesz_mean returns nan
+    # `gamma < 0` is false for NaN and `gamma >= 0` true for inf: past such a test
+    # shape-opt runs to its evaluation cap or fails on an ambiguous truth value,
+    # weyl-check prints nan rows, and riesz_mean returns nan
     with pytest.raises(ValueError, match="gamma|K0"):
         call()
+
+
+def test_geometry_refuses_an_empty_suite():
+    # --count 0 or -1 used to report a verdict over no polygons
+    for count in ("0", "-1"):
+        with pytest.raises(ValueError, match="--count"):
+            cli.cmd_geometry(cli.build_parser().parse_args(["geometry", f"--count={count}"]))
 
 
 def test_report_goes_to_file_with_out(tmp_path, capsys):
