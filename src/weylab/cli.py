@@ -7,6 +7,7 @@ bytes.  Dense series go to CSV side files, everything else into the report.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -41,6 +42,8 @@ def parse_grid(text, name="grid"):
         start, stop, count = float(parts[0]), float(parts[1]), int(tail)
     except ValueError:
         raise ValueError(f"cannot parse {name} spec {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{name} bounds must be finite, got {start}..{stop}")
     if count < 1:
         raise ValueError(f"{name} is empty (count = {count})")
     if count > 1 and not stop > start:
@@ -137,6 +140,8 @@ def cmd_polygon_check(args):
 def cmd_heat_check(args):
     dom = parse_domain(args.domain)
     ts = parse_grid(args.t, "--t")
+    if not ts[0] > 0:
+        raise ValueError(f"--t must be > 0, got {ts[0]}")
     lam_max = 30.0 / float(ts[0])
     spec = dom.spectrum(args.bc, lam_max, args.grid_h)
     polygonal = dom.angles is not None and check_bc(args.bc) == DIRICHLET
@@ -282,7 +287,7 @@ def build_parser():
     sp.set_defaults(handler=cmd_polygon_check)
 
     sp = sub.add_parser("heat-check", help="short-time heat trace against predictions")
-    common(sp, grid_h=True)
+    common(sp, gamma=False, grid_h=True)
     sp.add_argument("--t", required=True, help="time grid start:stop:count(log)")
     sp.set_defaults(handler=cmd_heat_check)
 

@@ -367,8 +367,8 @@ def smoothed_riesz(mu, gamma, tau, hier):
     the integral is a finite sum of B-chain values at 0 and tau.  Atoms whose band
     lies beyond tau add an exact zero.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be > 0 and finite")
     if not (float(gamma).is_integer() and gamma >= 1):
         raise ValueError("gamma must be an integer >= 1")
     m = int(gamma)
@@ -387,8 +387,8 @@ def smoothed_riesz(mu, gamma, tau, hier):
 def _identity_sides(mu, m, tau, hier):
     if m not in (1, 2):
         raise ValueError("the iterated identity is checked for m in {1, 2}")
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be > 0 and finite")
     if not mu.purely_atomic:
         raise ValueError("identity check requires a purely atomic odd-extended measure")
     lhs = smoothed_riesz(mu, m, tau, hier)

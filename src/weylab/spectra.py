@@ -121,13 +121,11 @@ _DOMAINS = {"rectangle": Rectangle, "disk": Disk, "polygon": ConvexPolygon}
 
 
 class Spectrum:
-    """Sorted eigenvalue list with multiplicities expanded, certified below a threshold.
-
-    block_ids group entries that belong to one analytic multiplicity block
-    (identical eigenvalue); every eigenvalue < complete_below is present.
+    """Sorted eigenvalue list with multiplicities expanded, certified below a threshold:
+    every eigenvalue < complete_below is present.
     """
 
-    def __init__(self, eigenvalues, bc, complete_below, domain, exact, block_ids=None):
+    def __init__(self, eigenvalues, bc, complete_below, domain, exact):
         ev = np.asarray(eigenvalues, dtype=float)
         if ev.ndim != 1:
             raise ValueError("eigenvalues must be a flat list")
@@ -148,18 +146,12 @@ class Spectrum:
         self.area = domain.area
         self.neumann_count_bound = domain._neumann_count_bound() if self.bc == NEUMANN else None
         self.exact = bool(exact)
-        if block_ids is None:
-            block_ids = np.zeros(len(ev), dtype=int)
-            if len(ev):
-                block_ids[1:] = np.cumsum(ev[1:] != ev[:-1])
-        self.block_ids = np.asarray(block_ids, dtype=int)
-        if len(self.block_ids) != len(ev):
-            raise ValueError("block_ids length mismatch")
 
     def __len__(self):
         return len(self.eigenvalues)
 
     def save(self, path):
+        """A JSON header line, then one eigenvalue per line (%.17g, so load reads back the same bits)."""
         header = {
             "bc": self.bc,
             "domain": self.domain,
@@ -168,26 +160,19 @@ class Spectrum:
         }
         with open(path, "w") as fh:
             fh.write(json.dumps(header) + "\n")
-            for i, (ev, blk) in enumerate(zip(self.eigenvalues, self.block_ids)):
-                fh.write(f"{i},{ev:.17g},{blk}\n")
+            fh.writelines(f"{ev:.17g}\n" for ev in self.eigenvalues)
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
             header = json.loads(fh.readline())
-            evs, blks = [], []
-            for line in fh:
-                if not line.strip():
-                    continue
-                _, ev, blk = line.split(",")
-                evs.append(float(ev))
-                blks.append(int(blk))
+            evs = [float(line) for line in fh if line.strip()]
         key = header["domain"]
         shape = key.pop("shape")
         if shape not in _DOMAINS:
             raise ValueError(f"unknown domain shape {shape!r}")
         return cls(evs, header["bc"], header["complete_below"], _DOMAINS[shape](**key),
-                   header["exact"], block_ids=blks)
+                   header["exact"])
 
 
 def _first_index(bc):
@@ -227,11 +212,12 @@ def _rectangle_modes(a, b, bc, lam):
 
 def rectangle_spectrum(a, b, bc, lambda_max):
     """All eigenvalues pi^2(m^2/a^2 + n^2/b^2) below lambda_max (Dirichlet m,n>=1, Neumann m,n>=0)."""
-    if not (a > 0 and b > 0 and lambda_max > 0):
-        raise ValueError("need a, b, lambda_max > 0")
+    rect = Rectangle(a, b)
+    if not 0 < lambda_max < math.inf:
+        raise ValueError("lambda_max must be > 0 and finite")
     bc = check_bc(bc)
     ev = np.sort(_rectangle_modes(a, b, bc, lambda_max)[2])
-    return Spectrum(ev, bc, lambda_max, Rectangle(a, b), exact=True)
+    return Spectrum(ev, bc, lambda_max, rect, exact=True)
 
 
 def _bessel_sweep(x, first):
@@ -303,8 +289,9 @@ def _bessel_zeros(x_end, nu_stop, derivative):
 
 def disk_spectrum(radius, bc, lambda_max):
     """Disk eigenvalues (z/R)^2 over Bessel zeros z < R*sqrt(lambda_max), multiplicity 2 for nu>=1."""
-    if not (radius > 0 and lambda_max > 0):
-        raise ValueError("need radius, lambda_max > 0")
+    disk = Disk(radius)
+    if not 0 < lambda_max < math.inf:
+        raise ValueError("lambda_max must be > 0 and finite")
     bc = check_bc(bc)
     x_max = radius * math.sqrt(lambda_max)
     derivative = bc == NEUMANN
@@ -326,13 +313,10 @@ def disk_spectrum(radius, bc, lambda_max):
         lo, hi = ref[:, :Z.shape[1]], ref[:, 1:Z.shape[1] + 1]
         _raise_unless((lo < Z) & (Z < hi) & (hi < np.inf) | np.isinf(Z), "interlacing")
     nu, k = np.nonzero(Z < x_max)
-    mult = np.where(nu == 0, 1, 2)
-    vals = np.repeat((Z[nu, k] / radius) ** 2, mult)
-    blocks = np.repeat(np.arange(nu.size) + derivative, mult)
+    vals = np.repeat((Z[nu, k] / radius) ** 2, np.where(nu == 0, 1, 2))
     if derivative:  # constant mode
-        vals, blocks = np.concatenate(([0.0], vals)), np.concatenate(([0], blocks))
-    order = np.argsort(vals, kind="stable")
-    return Spectrum(vals[order], bc, lambda_max, Disk(radius), exact=True, block_ids=blocks[order])
+        vals = np.concatenate(([0.0], vals))
+    return Spectrum(np.sort(vals), bc, lambda_max, disk, exact=True)
 
 
 def _ldlt(A, shift):
@@ -402,6 +386,9 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     xmax, ymax = poly.vertices.max(axis=0)
     i_lo, i_hi = int(math.floor(xmin / h)), int(math.ceil(xmax / h))
     j_lo, j_hi = int(math.floor(ymin / h)), int(math.ceil(ymax / h))
+    box = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
+    if box > MAX_EIGENVALUES:
+        raise CapacityError(f"FD grid of {box} box points at h = {h} exceeds cap {MAX_EIGENVALUES}")
     ii = np.arange(i_lo, i_hi + 1)
     jj = np.arange(j_lo, j_hi + 1)
     X, Y = np.meshgrid(ii * h, jj * h, indexing="ij")

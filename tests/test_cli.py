@@ -1,5 +1,8 @@
 """End-to-end runs of the batch front end through main(argv)."""
 
+import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -332,6 +335,43 @@ def test_geometry_refuses_an_empty_suite():
     for count in ("0", "-1"):
         with pytest.raises(ValueError, match="--count"):
             cli.cmd_geometry(cli.build_parser().parse_args(["geometry", f"--count={count}"]))
+
+
+BAD_INPUT = {
+    "lambda-inf": (["weyl-check", "--lambda", "1e3:inf:3"], "--lambda bounds must be finite"),
+    "t-inf": (["heat-check", "--t", "0.01:inf:3"], "--t bounds must be finite"),
+    "t-zero": (["heat-check", "--t", "0:0.02:3"], "--t must be > 0"),
+    "tau-inf": (["tauberian-demo", "--tau", "inf"], "tau must be > 0 and finite"),
+    "rect-lambda-max-inf": (["spectrum", "--lambda-max", "inf", "--out", "x.spec"],
+                            "lambda_max must be > 0 and finite"),
+    "disk-lambda-max-inf": (["spectrum", "--domain", "disk:1", "--lambda-max", "inf",
+                             "--out", "x.spec"], "lambda_max must be > 0 and finite"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_numeric_input_is_refused_before_any_work(argv, message, tmp_path, capsys, monkeypatch):
+    # these used to end in OverflowError, ZeroDivisionError, or NaN chain values
+    # that raise RuntimeWarning before the tabulated-window refusal
+    monkeypatch.chdir(tmp_path)
+    code, rep = run_cli(capsys, argv)
+    assert code == 1
+    assert rep["error"]["type"] == "ValueError" and message in rep["error"]["message"], rep["error"]
+    assert not (tmp_path / "x.spec").exists()
+
+
+def test_every_option_is_read_by_its_handler():
+    # each option lands in the report's config, so one that its handler never
+    # reads would print a setting that changed nothing
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sp in sub.choices.items():
+        handler = ast.parse(inspect.getsource(sp.get_default("handler")))
+        read = {node.attr for node in ast.walk(handler) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        unread += [f"{name}: {action.dest}" for action in sp._actions
+                   if action.dest not in ("help", "out") and action.dest not in read]
+    assert len(sub.choices) == 9 and unread == []
 
 
 def test_report_goes_to_file_with_out(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact lattice/Bessel spectra, the FD solver, and the functionals on top."""
 
+import json
 import math
 import tracemalloc
 
@@ -76,6 +77,39 @@ def test_disk_capacity_guard_refuses_up_front(monkeypatch):
     assert len(disk_spectrum(1.0, DIRICHLET, 1e4)) == 2456
 
 
+def test_fd_capacity_guard_refuses_up_front(monkeypatch):
+    # the unit square at h = 0.02 has a 51 x 51 bounding box of grid points: a cap
+    # of 2600 refuses it before the box's meshgrid is built, a cap of 2601 does not
+    sq = ConvexPolygon.rectangle(1.0, 1.0)
+    monkeypatch.setattr(spectra, "MAX_EIGENVALUES", 2600)
+    with monkeypatch.context() as m:
+        def no_grid(*args, **kwargs):
+            raise AssertionError("FD box grid built before the capacity check")
+
+        m.setattr(spectra.np, "meshgrid", no_grid)
+        with pytest.raises(CapacityError, match="2601 box points"):
+            polygon_dirichlet_spectrum_fd(sq, 0.02, 500.0)
+    monkeypatch.setattr(spectra, "MAX_EIGENVALUES", 2601)
+    exact = _square_fd_eigenvalues(0.02)
+    assert len(polygon_dirichlet_spectrum_fd(sq, 0.02, 500.0)) == np.count_nonzero(exact < 500.0)
+
+
+SIZE_CASES = {
+    "rect-side": lambda: rectangle_spectrum(math.inf, 1.0, DIRICHLET, 100.0),
+    "rect-lambda": lambda: rectangle_spectrum(1.0, 1.0, NEUMANN, math.inf),
+    "disk-radius": lambda: disk_spectrum(math.inf, DIRICHLET, 100.0),
+    "disk-lambda": lambda: disk_spectrum(1.0, NEUMANN, math.inf),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_CASES.values(), ids=SIZE_CASES.keys())
+def test_infinite_sizes_and_lambda_max_are_refused(call):
+    # the domain checks the sizes; an infinite size or lambda_max used to reach
+    # int(inf) in the enumeration and fail with OverflowError
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_rectangle_lattice_is_complete_off_the_square():
     """Seeded draws of sides and lambda against a brute-force meshgrid enumeration."""
     rng = np.random.default_rng(20261018)
@@ -100,8 +134,6 @@ def test_disk_spectrum_bessel_oracles():
     assert abs(spec.eigenvalues[3] - 26.374616427163390770) < 1e-10
     assert abs(spec.eigenvalues[5] - 30.471262343662086399) < 1e-10
     assert counting_function(spec, 30.0) == 5
-    # multiplicity blocks: the nu = 1 pair shares one id, the radial modes do not
-    assert spec.block_ids[1] == spec.block_ids[2] != spec.block_ids[0]
 
 
 def test_disk_neumann_starts_at_zero():
@@ -117,21 +149,16 @@ def test_disk_neumann_starts_at_zero():
 
 
 def _disk_reference(radius, bc, lam):
-    """Disk eigenvalues and block ids order by order from specfun's zeros (jn_zeros, jnp_zeros)."""
+    """Disk eigenvalues order by order from specfun's zeros (jn_zeros, jnp_zeros)."""
     x_max = radius * math.sqrt(lam)
     zeros_of = jnp_zeros if bc == NEUMANN else jn_zeros
-    vals, blocks = ([0.0], [0]) if bc == NEUMANN else ([], [])
-    block = len(blocks)
+    vals = [0.0] if bc == NEUMANN else []
     for nu in range(math.ceil(x_max)):
         z = zeros_of(nu, int(x_max / math.pi) + 3)
         assert z[-1] > x_max
-        mult = 1 if nu == 0 else 2
         for zk in z[z < x_max]:
-            vals.extend([(zk / radius) ** 2] * mult)
-            blocks.extend([block] * mult)
-            block += 1
-    order = np.argsort(vals, kind="stable")
-    return np.asarray(vals)[order], np.asarray(blocks, dtype=int)[order]
+            vals.extend([(zk / radius) ** 2] * (1 if nu == 0 else 2))
+    return np.sort(vals)
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
@@ -139,10 +166,9 @@ def _disk_reference(radius, bc, lam):
 def test_disk_spectrum_matches_per_order_reference(bc, radius):
     rng = np.random.default_rng(20261018)
     for lam in (1e4, 10.0 ** rng.uniform(0.0, 4.0)):
-        want, want_blocks = _disk_reference(radius, bc, lam)
+        want = _disk_reference(radius, bc, lam)
         spec = disk_spectrum(radius, bc, lam)
         assert len(spec) == len(want), (lam, len(spec), len(want))
-        assert np.array_equal(spec.block_ids, want_blocks), lam
         assert np.allclose(spec.eigenvalues, want, rtol=1e-14, atol=0.0), lam
 
 
@@ -215,16 +241,20 @@ def test_heat_trace_tail_bounds_the_exact_omitted_tail(domain, bc):
 
 
 def test_spectrum_save_load_roundtrip(tmp_path):
-    # the loaded spectrum rebuilds its domain from the saved key, so the heat
-    # trace (whose tail bound needs the area) comes back bit for bit
+    # a JSON header line, then one %.17g eigenvalue per line; the loaded spectrum
+    # rebuilds its domain from the saved key, so the heat trace (whose tail bound
+    # needs the area) comes back bit for bit
     for name, spec in (("rect", rectangle_spectrum(1.0, 2.0, NEUMANN, 300.0)),
                        ("disk", disk_spectrum(1.0, DIRICHLET, 60.0)),
                        ("fd", ConvexPolygon.regular(6).spectrum(DIRICHLET, 200.0, 0.05))):
         path = tmp_path / f"{name}.spec"
         spec.save(path)
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header) == {"bc": spec.bc, "domain": spec.domain,
+                                      "complete_below": spec.complete_below, "exact": spec.exact}
+        assert lines == [f"{ev:.17g}" for ev in spec.eigenvalues] and len(lines) == len(spec) > 0
         back = Spectrum.load(path)
         assert np.array_equal(spec.eigenvalues, back.eigenvalues)
-        assert np.array_equal(spec.block_ids, back.block_ids)
         assert back.domain == spec.domain
         assert back.area == spec.area
         assert back.complete_below == spec.complete_below
