@@ -19,7 +19,7 @@ from scipy.special import j0, j1, jv, jvp
 from .constants import DIRICHLET, NEUMANN, check_bc, lt_constant
 from .geometry import ConvexPolygon, corner_params
 
-# memory cap for analytic enumeration (number of eigenvalues)
+# memory cap: eigenvalues enumerated, Bessel-zero table entries, or FD box grid points
 MAX_EIGENVALUES = 5_000_000
 
 # Bessel-zero grid step: below the smallest gap (> 2.9) between consecutive zeros
@@ -151,7 +151,10 @@ class Spectrum:
         return len(self.eigenvalues)
 
     def save(self, path):
-        """A JSON header line, then one eigenvalue per line (%.17g, so load reads back the same bits)."""
+        """A JSON header line, then `index,eigenvalue,group` lines (%.17g, so load reads back
+        the same bits); the group numbers the distinct values, so equal eigenvalues share one."""
+        ev = self.eigenvalues
+        groups = np.cumsum(np.diff(ev, prepend=ev[:1]) != 0)
         header = {
             "bc": self.bc,
             "domain": self.domain,
@@ -160,13 +163,13 @@ class Spectrum:
         }
         with open(path, "w") as fh:
             fh.write(json.dumps(header) + "\n")
-            fh.writelines(f"{ev:.17g}\n" for ev in self.eigenvalues)
+            fh.writelines(f"{i},{v:.17g},{g}\n" for i, (v, g) in enumerate(zip(ev, groups)))
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
             header = json.loads(fh.readline())
-            evs = [float(line) for line in fh if line.strip()]
+            evs = [float(ev) for _, ev, _ in (line.split(",") for line in fh if line.strip())]
         key = header["domain"]
         shape = key.pop("shape")
         if shape not in _DOMAINS:

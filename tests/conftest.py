@@ -1,6 +1,7 @@
 """The README CLI block, run once per session under a function-entry trace."""
 
 import contextlib
+import importlib.util
 import io
 import sys
 from pathlib import Path
@@ -10,13 +11,11 @@ import pytest
 from weylab.cli import main
 from weylab.geometry import ConvexPolygon, save_polygon
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-# run after the README lines, inside the same trace: a polygon FD heat-check on
-# a square that save_polygon writes there, and a Neumann gamma < 1 shape-opt
-# that writes its trace CSV
-TRACE_EXTRA = ("heat-check --domain polygon:square.json --grid-h 0.02 --t 0.01:0.04:4",
-               "shape-opt --lambda 100:100:1 --gamma 0.5 --bc neumann --csv trace.csv")
+# tools/digests.py owns the argv lists: the README CLI block and TRACE_EXTRA
+_spec = importlib.util.spec_from_file_location(
+    "digests", Path(__file__).resolve().parents[1] / "tools" / "digests.py")
+digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digests)
 
 
 @pytest.fixture(scope="session")
@@ -28,9 +27,7 @@ def readme_block_run(tmp_path_factory):
     A functools cache that answers from memory enters nothing, so a cached
     function whose cache was asked counts as entered too.
     """
-    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
-    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("weylab ")]
-    lines += [line.split() for line in TRACE_EXTRA]
+    lines = digests.readme_argvs() + digests.trace_extra_argvs()
     entered = set()
 
     def profile(frame, event, arg):

@@ -241,9 +241,10 @@ def test_heat_trace_tail_bounds_the_exact_omitted_tail(domain, bc):
 
 
 def test_spectrum_save_load_roundtrip(tmp_path):
-    # a JSON header line, then one %.17g eigenvalue per line; the loaded spectrum
-    # rebuilds its domain from the saved key, so the heat trace (whose tail bound
-    # needs the area) comes back bit for bit
+    # a JSON header line, then `index,eigenvalue,group` per eigenvalue, the
+    # eigenvalue %.17g and the group stepping by one where the value changes; the
+    # loaded spectrum rebuilds its domain from the saved key, so the heat trace
+    # (whose tail bound needs the area) comes back bit for bit
     for name, spec in (("rect", rectangle_spectrum(1.0, 2.0, NEUMANN, 300.0)),
                        ("disk", disk_spectrum(1.0, DIRICHLET, 60.0)),
                        ("fd", ConvexPolygon.regular(6).spectrum(DIRICHLET, 200.0, 0.05))):
@@ -252,7 +253,11 @@ def test_spectrum_save_load_roundtrip(tmp_path):
         header, *lines = path.read_text().splitlines()
         assert json.loads(header) == {"bc": spec.bc, "domain": spec.domain,
                                       "complete_below": spec.complete_below, "exact": spec.exact}
-        assert lines == [f"{ev:.17g}" for ev in spec.eigenvalues] and len(lines) == len(spec) > 0
+        index, values, groups = zip(*(line.split(",") for line in lines))
+        assert list(map(int, index)) == list(range(len(spec))) and len(spec) > 0
+        assert list(values) == [f"{ev:.17g}" for ev in spec.eigenvalues]
+        groups = np.array(groups, dtype=int)
+        assert groups[0] == 0 and np.array_equal(np.diff(groups), np.diff(spec.eigenvalues) != 0)
         back = Spectrum.load(path)
         assert np.array_equal(spec.eigenvalues, back.eigenvalues)
         assert back.domain == spec.domain

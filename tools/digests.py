@@ -3,9 +3,10 @@
     python3 tools/digests.py PARENT_SRC CHANGE_SRC [--expect-moved ID ...]
 
 The reports are the `weylab` lines of the README's CLI block, the TRACE_EXTRA
-lines of tests/conftest.py, the CLI reports of the three perfbench campaigns at
-seed 1 and perfbench's Riesz-lift report at seeds 1-3, all read from the
-checkout that holds this script; an argv named by several lists runs once.
+lines below (the test suite's trace runs both lists, from here), the CLI
+reports of the three perfbench campaigns at seed 1 and perfbench's Riesz-lift
+report at seeds 1-3, all read from the checkout that holds this script; an
+argv named by several lists runs once.
 Each side runs in its own subprocess, with its src first on sys.path, in a
 fresh temporary directory holding the hexagon.json and square.json inputs that
 perfbench/run.py writes.
@@ -19,7 +20,6 @@ weyl-square-D or readme-3, or a file name).
 """
 
 import argparse
-import ast
 import contextlib
 import io
 import json
@@ -35,26 +35,29 @@ LIFT_SEEDS = (1, 2, 3)
 SHOWN = 12  # paths or lines listed per kind of move
 
 
-def _readme_argvs():
+# run after the README lines, here and in the test suite's trace
+# (tests/conftest.py): a polygon FD heat-check on a square that save_polygon
+# writes there, and a Neumann gamma < 1 shape-opt that writes its trace CSV
+TRACE_EXTRA = ("heat-check --domain polygon:square.json --grid-h 0.02 --t 0.01:0.04:4",
+               "shape-opt --lambda 100:100:1 --gamma 0.5 --bc neumann --csv trace.csv")
+
+
+def readme_argvs():
+    """The argv of each `weylab` line of the README's CLI block."""
     block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```", 2)[1]
     return [line.split()[1:] for line in block.splitlines() if line.startswith("weylab ")]
 
 
-def _trace_extra_argvs():
-    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACE_EXTRA"
-                                                for t in node.targets):
-            return [line.split() for line in ast.literal_eval(node.value)]
-    raise RuntimeError("tests/conftest.py defines no TRACE_EXTRA")
+def trace_extra_argvs():
+    return [line.split() for line in TRACE_EXTRA]
 
 
 def plan():
     """[{"names": [...], "argv": [...]} or {"names": [...], "lift": {...}}], one per distinct report."""
     sys.path.insert(0, str(PERFBENCH))
     import campaigns
-    named = [(f"readme-{i}", argv) for i, argv in enumerate(_readme_argvs(), 1)]
-    named += [(f"trace-extra-{i}", argv) for i, argv in enumerate(_trace_extra_argvs(), 1)]
+    named = [(f"readme-{i}", argv) for i, argv in enumerate(readme_argvs(), 1)]
+    named += [(f"trace-extra-{i}", argv) for i, argv in enumerate(trace_extra_argvs(), 1)]
     named += [(rep["id"], rep["argv"]) for workload in campaigns.WORKLOADS
               for rep in campaigns.reports(workload, 1) if "argv" in rep]
     lifts = [{"names": [f"{rep['id']}-seed{seed}"], "lift": rep["lift"]}
