@@ -17,7 +17,7 @@ import numpy as np
 # sys.modules.  ROADMAP item 8 (spans inside weylab) or item 13 (a CLI report that
 # lifts) makes this import go.
 from . import __version__, riesz
-from .constants import (DIRICHLET, check_bc, corner_sum, error_envelope,
+from .constants import (DIRICHLET, check_bc, check_positive, corner_sum, error_envelope,
                         heat_polygon_error_bound, heat_polygon_prediction,
                         heat_two_term_prediction, lt_constant, one_term_prediction,
                         three_term_polygon_prediction, two_term_prediction)
@@ -140,8 +140,7 @@ def cmd_polygon_check(args):
 def cmd_heat_check(args):
     dom = parse_domain(args.domain)
     ts = parse_grid(args.t, "--t")
-    if not ts[0] > 0:
-        raise ValueError(f"--t must be > 0, got {ts[0]}")
+    check_positive(ts[0], "--t")
     lam_max = 30.0 / float(ts[0])
     spec = dom.spectrum(args.bc, lam_max, args.grid_h)
     polygonal = dom.angles is not None and check_bc(args.bc) == DIRICHLET

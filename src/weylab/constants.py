@@ -26,10 +26,21 @@ def boundary_sign(bc):
     return -1.0 if check_bc(bc) == DIRICHLET else 1.0
 
 
+def check_positive(value, name):
+    """Raise ValueError naming the quantity unless value is finite and > 0 (NaN is not)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
+
+
+def check_nonnegative(value, name):
+    """Raise ValueError naming the quantity unless value is finite and >= 0 (NaN is not)."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+
+
 def _check_order(gamma, dim):
     """Validate the order/dimension pair of the semiclassical constants."""
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
+    check_nonnegative(gamma, "gamma")
     if int(dim) != dim or dim < 1:
         raise ValueError(f"dim must be an integer >= 1, got {dim}")
 
@@ -74,8 +85,7 @@ def corner_sum(angles):
 
 def one_term_prediction(lam, gamma, dim, volume):
     """Leading Weyl term L_{gamma,dim} |Omega| lambda^{gamma + dim/2}."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    check_nonnegative(lam, "lambda")
     return lt_constant(gamma, dim) * volume * lam ** (gamma + 0.5 * dim)
 
 
@@ -86,10 +96,7 @@ def two_term_prediction(lam, gamma, dim, volume, perimeter, bc):
     minus for Dirichlet, plus for Neumann.
     """
     sign = boundary_sign(bc)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    _check_order(gamma, dim)
-    main = _lt(gamma, dim) * volume * lam ** (gamma + 0.5 * dim)
+    main = one_term_prediction(lam, gamma, dim, volume)
     surf = 0.25 * _lt(gamma, dim - 1) * perimeter * lam ** (gamma + 0.5 * (dim - 1))
     return main + sign * surf
 
@@ -106,8 +113,7 @@ def three_term_polygon_prediction(lam, gamma, area, perimeter, angles, bc):
 def heat_two_term_prediction(t, dim, volume, perimeter, bc):
     """Short-time heat trace (4 pi t)^{-d/2} (|Omega| -/+ sqrt(pi t)/2 |bdry|)."""
     sign = boundary_sign(bc)
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    check_positive(t, "t")
     return (4.0 * math.pi * t) ** (-0.5 * dim) * (
         volume + sign * 0.5 * math.sqrt(math.pi * t) * perimeter
     )
@@ -115,8 +121,7 @@ def heat_two_term_prediction(t, dim, volume, perimeter, bc):
 
 def heat_polygon_prediction(t, area, perimeter, angles):
     """Dirichlet polygon heat trace: area/(4 pi t) - perimeter/(8 sqrt(pi t)) + corner_sum."""
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    check_positive(t, "t")
     return (
         area / (4.0 * math.pi * t)
         - perimeter / (8.0 * math.sqrt(math.pi * t))
@@ -130,16 +135,17 @@ def heat_polygon_error_bound(t, area, n_corners, alpha_min, big_r):
     (5 n + 20 |Omega| / R^2) alpha^{-2} exp(-R^2 sin^2(alpha/2) / (16 t)) with
     alpha the smallest interior angle and R the corner-separation radius.
     """
-    if not (t > 0 and big_r > 0 and 0 < alpha_min <= math.pi):
-        raise ValueError("need t > 0, R > 0 and alpha_min in (0, pi]")
+    check_positive(t, "t")
+    check_positive(big_r, "R")
+    if not 0 < alpha_min <= math.pi:
+        raise ValueError(f"alpha_min must lie in (0, pi], got {alpha_min}")
     pref = (5.0 * n_corners + 20.0 * area / big_r**2) / alpha_min**2
     return pref * math.exp(-(big_r**2) * math.sin(0.5 * alpha_min) ** 2 / (16.0 * t))
 
 
 def default_envelope_alpha(gamma):
     """Decay exponent parameter: 1 for gamma >= 1, 0.9*gamma below (0 at gamma = 0)."""
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError("gamma must be >= 0 and finite")
+    check_nonnegative(gamma, "gamma")
     return 1.0 if gamma >= 1.0 else 0.9 * gamma
 
 
@@ -154,8 +160,9 @@ def error_envelope(lam, gamma, perimeter, inradius, dim, bc):
     the remainder, not a certified constant.
     """
     bc = check_bc(bc)
-    if not (lam > 0 and perimeter > 0 and inradius > 0):
-        raise ValueError("need lam > 0, perimeter > 0, inradius > 0")
+    check_positive(lam, "lambda")
+    check_positive(perimeter, "perimeter")
+    check_positive(inradius, "inradius")
     alpha = default_envelope_alpha(gamma)
     scale = perimeter * lam ** (gamma + 0.5 * (dim - 1))
     x = inradius * math.sqrt(lam)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .constants import DIRICHLET, check_bc
+from .constants import DIRICHLET, check_bc, check_positive
 
 RANDOM_POLYGON_MAX_POINTS = 10
 
@@ -110,8 +110,8 @@ class ConvexPolygon:
 
     @classmethod
     def rectangle(cls, a, b):
-        if not (a > 0 and b > 0):
-            raise ValueError("rectangle sides must be > 0")
+        check_positive(a, "rectangle side a")
+        check_positive(b, "rectangle side b")
         return cls([[0.0, 0.0], [a, 0.0], [a, b], [0.0, b]])
 
     @classmethod

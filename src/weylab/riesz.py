@@ -44,8 +44,8 @@ class SampledFunction:
 
 def riesz_lift(f, kappa):
     """Riesz lift of order kappa of a step function; returns a sample labelled piecewise-linear."""
-    if not kappa > 0:
-        raise ValueError("kappa must be > 0")
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be > 0 and finite")
     return SampledFunction(f.grid, _eval_powers(f.grid, _power_basis(f, kappa), kappa,
                                                 1.0 / math.gamma(kappa)), PIECEWISE_LINEAR)
 
@@ -94,8 +94,8 @@ def semigroup_check(f, kappa1, kappa2):
     error, not resampling error.  Both sides are `_eval_powers` sums over the same nodes, so
     it checks the Gamma-factor algebra of that lift, not an independent route to the lift.
     """
-    if not (kappa1 > 0 and kappa2 > 0):
-        raise ValueError("kappa1, kappa2 must be > 0")
+    if not (0 < kappa1 < math.inf and 0 < kappa2 < math.inf):
+        raise ValueError("kappa1, kappa2 must be > 0 and finite")
     a = _power_basis(f, kappa1)
     k = kappa1 + kappa2
     # (mu-c)_+^s lifts to Gamma(s+1)/Gamma(s+kappa2+1) (L-c)_+^{s+kappa2}
@@ -121,8 +121,8 @@ def riesz_interpolation_certificate(f, sigma, gamma):
     vary between nodes, so lhs and the gamma-lift's sup are lower estimates of
     the sups over [0, grid[-1]].
     """
-    if not 0 < sigma < gamma:
-        raise ValueError("need 0 < sigma < gamma")
+    if not 0 < sigma < gamma < math.inf:
+        raise ValueError("need 0 < sigma < gamma < inf")
     lhs = riesz_lift(f, sigma).sup_abs()
     sup_f = f.sup_abs()
     sup_g = riesz_lift(f, gamma).sup_abs()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DIRICHLET, check_bc
+from .constants import DIRICHLET, check_bc, check_nonnegative, check_positive
 from .spectra import _expand, _first_index
 
 ASPECT_RANGE = (0.05, 1.0)
@@ -35,12 +35,9 @@ class OptimizationRun:
     degenerate: bool = False
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lambda must be > 0")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError("gamma must be >= 0 and finite")
-        if not (math.isfinite(self.certified_gap) and self.certified_gap >= 0):
-            raise ValueError("certified_gap must be finite and >= 0")
+        check_positive(self.lam, "lambda")
+        check_nonnegative(self.gamma, "gamma")
+        check_nonnegative(self.certified_gap, "certified_gap")
         objs = [obj for _, obj in self.optimizer_trace]
         if objs:
             slack = 1e-12 * max(1.0, abs(self.best[1]))
@@ -104,12 +101,9 @@ def rectangle_riesz_objective(rho, lam, gamma, bc):
     without building or sorting a spectrum: in closed form via sum n^2 at
     gamma = 1, term by term otherwise.
     """
-    if not rho > 0:
-        raise ValueError("aspect ratio must be > 0")
-    if not lam > 0:
-        raise ValueError("lambda must be > 0")
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError("gamma must be >= 0 and finite")
+    check_positive(rho, "aspect ratio")
+    check_positive(lam, "lambda")
+    check_nonnegative(gamma, "gamma")
     bc = check_bc(bc)
     return _lattice_sample(rho, lam, gamma, bc, *_rows(lam, rho, bc))[0]
 
@@ -253,12 +247,9 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
     sample, and records that gap.
     """
     bc = check_bc(bc)
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    if not lam > 0:
-        raise ValueError("lambda must be > 0")
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError("gamma must be >= 0 and finite")
+    check_positive(tol, "tol")
+    check_positive(lam, "lambda")
+    check_nonnegative(gamma, "gamma")
     sign = 1.0 if bc == DIRICHLET else -1.0
     rows = _row_data(lam, bc)
     lo = _first_index(bc)
@@ -276,13 +267,10 @@ def optimize_rectangle(lam, gamma, bc, tol=1e-12):
 
     gap = _branch_and_bound(f, bound, *ASPECT_RANGE, tol)
     objs = np.array([v for _, v in trace])
-    if np.max(np.abs(objs)) == 0.0:
-        # lambda sits below every first eigenvalue in the family
-        return OptimizationRun("rectangle", float(lam), float(gamma), bc,
-                               tuple(trace), (1.0, 0.0), gap, degenerate=True)
-    j = int(np.argmax(sign * objs))
-    return OptimizationRun("rectangle", float(lam), float(gamma), bc,
-                           tuple(trace), trace[j], gap)
+    # all zero: lam is below every first eigenvalue in the family (bool: np.bool_ breaks JSON)
+    degenerate = bool(np.max(np.abs(objs)) == 0.0)
+    best = (1.0, 0.0) if degenerate else trace[int(np.argmax(sign * objs))]
+    return OptimizationRun("rectangle", float(lam), float(gamma), bc, tuple(trace), best, gap, degenerate)
 
 
 def symmetry_trend(study):

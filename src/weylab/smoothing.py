@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
-from .constants import check_bc, lt_constant
+from .constants import boundary_sign, check_bc, check_nonnegative, check_positive, lt_constant
 from .spectra import pointwise_spectral_function
 
 GEVREY_POWER = 1.5         # steepness of the spectral-profile bump (frozen by a decay scan)
@@ -130,8 +130,7 @@ class AtomicMeasure:
         for loc, w in merged.items():
             if w < 0:
                 raise ValueError(f"augmented measure is negative at the atom {loc}")
-        if not (math.isfinite(self.K0) and self.K0 >= 0):
-            raise ValueError("K0 must be finite and >= 0")
+        check_nonnegative(self.K0, "K0")
         object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
         object.__setattr__(self, "K0", float(self.K0))
 
@@ -367,8 +366,7 @@ def smoothed_riesz(mu, gamma, tau, hier):
     the integral is a finite sum of B-chain values at 0 and tau.  Atoms whose band
     lies beyond tau add an exact zero.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be > 0 and finite")
+    check_positive(tau, "tau")
     if not (float(gamma).is_integer() and gamma >= 1):
         raise ValueError("gamma must be an integer >= 1")
     m = int(gamma)
@@ -387,8 +385,7 @@ def smoothed_riesz(mu, gamma, tau, hier):
 def _identity_sides(mu, m, tau, hier):
     if m not in (1, 2):
         raise ValueError("the iterated identity is checked for m in {1, 2}")
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be > 0 and finite")
+    check_positive(tau, "tau")
     if not mu.purely_atomic:
         raise ValueError("identity check requires a purely atomic odd-extended measure")
     lhs = smoothed_riesz(mu, m, tau, hier)
@@ -421,11 +418,11 @@ def reflection_heat_bound(rect, bc, x, t):
     Returns (deviation, bound) with bound = exp(-d(x)^2/(4t)) / (4 pi t); the image
     sums are exact for the rectangle, so deviation <= bound is a theorem, not a fit.
     """
-    bc = check_bc(bc)
+    sign = boundary_sign(bc)
+    check_positive(t, "t")
     px, py = float(x[0]), float(x[1])
     if not (0.0 < px < rect.a and 0.0 < py < rect.b):
         raise ValueError("x must lie strictly inside the rectangle")
-    sign = -1.0 if bc == "dirichlet" else 1.0
 
     def line_diag(pos, length):
         nmax = int(math.ceil(math.sqrt(280.0 * t) / (2.0 * length))) + 2

@@ -16,7 +16,8 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.special import j0, j1, jv, jvp
 
-from .constants import DIRICHLET, NEUMANN, check_bc, lt_constant
+from .constants import (DIRICHLET, NEUMANN, check_bc, check_nonnegative, check_positive,
+                        lt_constant)
 from .geometry import ConvexPolygon, corner_params
 
 # memory cap: eigenvalues enumerated, Bessel-zero table entries, or FD box grid points
@@ -52,8 +53,8 @@ class Rectangle:
     angles = (0.5 * math.pi,) * 4
 
     def __post_init__(self):
-        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
-            raise ValueError("rectangle sides must be > 0 and finite")
+        check_positive(self.a, "rectangle side a")
+        check_positive(self.b, "rectangle side b")
 
     @property
     def area(self):
@@ -74,6 +75,8 @@ class Rectangle:
         return corner_params(ConvexPolygon.rectangle(self.a, self.b))
 
     def spectrum(self, bc, lambda_max, h=None):
+        if h is not None:
+            raise ValueError("--grid-h applies to polygon domains only")
         return rectangle_spectrum(self.a, self.b, bc, lambda_max)
 
     def _neumann_count_bound(self):
@@ -87,8 +90,7 @@ class Disk:
     angles = None
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError("disk radius must be > 0 and finite")
+        check_positive(self.radius, "disk radius")
 
     @property
     def area(self):
@@ -106,6 +108,8 @@ class Disk:
         return {"shape": "disk", "radius": self.radius}
 
     def spectrum(self, bc, lambda_max, h=None):
+        if h is not None:
+            raise ValueError("--grid-h applies to polygon domains only")
         return disk_spectrum(self.radius, bc, lambda_max)
 
     def _neumann_count_bound(self):
@@ -134,8 +138,7 @@ class Spectrum:
         if np.any(ev < 0):
             raise ValueError("negative eigenvalue")
         self.bc = check_bc(bc)
-        if not complete_below > 0:
-            raise ValueError("complete_below must be > 0")
+        check_positive(complete_below, "complete_below")
         if self.bc == DIRICHLET and len(ev) and ev[0] <= 0:
             raise ValueError("Dirichlet spectra are strictly positive")
         if self.bc == NEUMANN and len(ev) and ev[0] != 0.0:
@@ -216,8 +219,7 @@ def _rectangle_modes(a, b, bc, lam):
 def rectangle_spectrum(a, b, bc, lambda_max):
     """All eigenvalues pi^2(m^2/a^2 + n^2/b^2) below lambda_max (Dirichlet m,n>=1, Neumann m,n>=0)."""
     rect = Rectangle(a, b)
-    if not 0 < lambda_max < math.inf:
-        raise ValueError("lambda_max must be > 0 and finite")
+    check_positive(lambda_max, "lambda_max")
     bc = check_bc(bc)
     ev = np.sort(_rectangle_modes(a, b, bc, lambda_max)[2])
     return Spectrum(ev, bc, lambda_max, rect, exact=True)
@@ -293,8 +295,7 @@ def _bessel_zeros(x_end, nu_stop, derivative):
 def disk_spectrum(radius, bc, lambda_max):
     """Disk eigenvalues (z/R)^2 over Bessel zeros z < R*sqrt(lambda_max), multiplicity 2 for nu>=1."""
     disk = Disk(radius)
-    if not 0 < lambda_max < math.inf:
-        raise ValueError("lambda_max must be > 0 and finite")
+    check_positive(lambda_max, "lambda_max")
     bc = check_bc(bc)
     x_max = radius * math.sqrt(lambda_max)
     derivative = bc == NEUMANN
@@ -375,13 +376,11 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     residual of an interior cut moves that cut into a clear gap, which is recounted; a
     second ambiguity there raises.
     """
-    if not h > 0:
-        raise ValueError("h must be > 0")
+    check_positive(h, "h")
     r_in = poly.inradius
     if not h < 0.5 * r_in:
         raise ValueError(f"h = {h} must be smaller than half the inradius {r_in}")
-    if not lambda_max > 0:
-        raise ValueError("lambda_max must be > 0")
+    check_positive(lambda_max, "lambda_max")
     d = 4.0 / h**2
     if not lambda_max < d:
         raise InsufficientResolutionError(f"lambda_max = {lambda_max} must lie below 4/h^2 = {d}")
@@ -476,16 +475,15 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
 
 
 def counting_function(spec, lam):
-    """Number of eigenvalues strictly below lam."""
-    if lam > spec.complete_below:
-        raise CertifiedRangeError(f"lambda = {lam} above completeness threshold {spec.complete_below}")
+    """Number of eigenvalues strictly below lam (0 for lam <= 0); NaN and lam > complete_below raise."""
+    if not lam <= spec.complete_below:
+        raise CertifiedRangeError(f"lambda = {lam} is not <= the completeness threshold {spec.complete_below}")
     return int(np.searchsorted(spec.eigenvalues, lam, side="left"))
 
 
 def riesz_mean(spec, lam, gamma):
     """Riesz mean of order gamma at lam: sum of (lam - lambda_n)^gamma over lambda_n < lam."""
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError("gamma must be >= 0 and finite")
+    check_nonnegative(gamma, "gamma")
     k = counting_function(spec, lam)
     d = lam - spec.eigenvalues[:k]
     return float(np.sum(d**gamma))
@@ -499,8 +497,7 @@ def heat_trace(spec, t):
     N(mu) = 16 L_{0,2}|Omega| mu (8 times Li-Yau's), Neumann the domain's c0 + c1 sqrt(mu) + c2 mu;
     the erfc term is the integral of c1 sqrt(mu).
     """
-    if not t > 0:
-        raise ValueError("t must be > 0")
+    check_positive(t, "t")
     ev = spec.eigenvalues[spec.eigenvalues < spec.complete_below]
     value = float(np.sum(np.exp(-t * ev)))
     lam = spec.complete_below
@@ -522,20 +519,18 @@ def pointwise_spectral_function(rect, x, lam, gamma, bc):
     |u_mn(x)|^2 with (lam - lambda_mn)_+^gamma, or with [lambda_mn < lam] at gamma = 0.
     """
     bc = check_bc(bc)
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError("gamma must be >= 0 and finite")
+    check_nonnegative(gamma, "gamma")
     px, py = float(x[0]), float(x[1])
     if not (0.0 < px < rect.a and 0.0 < py < rect.b):
         raise ValueError("x must lie strictly inside the rectangle")
     lams = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lambda grid must be finite")
     m, n, ev = _rectangle_modes(rect.a, rect.b, bc, float(np.max(lams)) * (1.0 + 1e-9))
-    if bc == DIRICHLET:
-        amp = (4.0 / (rect.a * rect.b)) * np.sin(m * math.pi * px / rect.a) ** 2 \
-            * np.sin(n * math.pi * py / rect.b) ** 2
-    else:
-        amp = (np.where(m == 0, 1.0, 2.0) * np.where(n == 0, 1.0, 2.0)
-               / (rect.a * rect.b)) * np.cos(m * math.pi * px / rect.a) ** 2 \
-            * np.cos(n * math.pi * py / rect.b) ** 2
+    # |u_mn(x)|^2 = w_m w_n / |Omega| f(m pi x / a)^2 f(n pi y / b)^2, w = 1 at index 0, else 2
+    f = np.sin if bc == DIRICHLET else np.cos
+    amp = (np.where(m == 0, 1.0, 2.0) * np.where(n == 0, 1.0, 2.0) / (rect.a * rect.b)
+           * f(m * math.pi * px / rect.a) ** 2 * f(n * math.pi * py / rect.b) ** 2)
     vals = np.array([amp @ (np.clip(l - ev, 0.0, None) ** gamma if gamma > 0 else ev < l)
                      for l in lams.ravel()])
     return float(vals[0]) if lams.ndim == 0 else vals

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import pytest
 
 import weylab
 from pointwise_refit import refit_slope
-from weylab import cli, constants, shapeopt, smoothing, spectra
+from weylab import cli, constants, riesz, shapeopt, smoothing, spectra
 from weylab.cli import main, parse_domain, parse_grid
 from weylab.constants import heat_polygon_error_bound
 from weylab.geometry import ConvexPolygon, corner_params, save_polygon
@@ -330,6 +331,63 @@ def test_nan_order_or_point_mass_is_refused_at_once(call):
         call()
 
 
+def _non_finite_calls():
+    """name -> (call, start of its ValueError message) for NaN or infinite energies, times and orders."""
+    spec_d = spectra.rectangle_spectrum(1.0, 1.0, "dirichlet", 100.0)
+    spec_n = spectra.rectangle_spectrum(1.0, 1.0, "neumann", 100.0)
+    rect, mid = Rectangle(1.0, 1.0), (0.5, 0.5)
+    step = riesz.SampledFunction([0.0, 1.0, 2.0], [1.0, 0.5, 0.5])
+    alpha_min, big_r = corner_params(ConvexPolygon.rectangle(1.0, 1.0))
+    return {
+        # used to return a value: a NaN tail, the full count 6, nan, or 151.1
+        "heat_trace-D": (lambda: spectra.heat_trace(spec_d, INF), "t must be"),
+        "counting_function": (lambda: spectra.counting_function(spec_d, NAN), "lambda = nan"),
+        "riesz_mean": (lambda: spectra.riesz_mean(spec_d, NAN, 1.0), "lambda = nan"),
+        "one_term": (lambda: constants.one_term_prediction(NAN, 1.0, 2, 1.0), "lambda must be"),
+        "two_term": (lambda: constants.two_term_prediction(INF, 1.0, 2, 1.0, 4.0, "dirichlet"),
+                     "lambda must be"),
+        "error_envelope": (lambda: constants.error_envelope(INF, 1.0, 4.0, 0.5, 2, "dirichlet"),
+                           "lambda must be"),
+        "heat_two_term": (lambda: constants.heat_two_term_prediction(INF, 2, 1.0, 4.0, "dirichlet"),
+                          "t must be"),
+        "heat_polygon_error_bound": (lambda: heat_polygon_error_bound(INF, 1.0, 4, alpha_min, big_r),
+                                     "t must be"),
+        # used to raise a RuntimeWarning
+        "objective-rho": (lambda: shapeopt.rectangle_riesz_objective(INF, 100.0, 1.0, "dirichlet"),
+                          "aspect ratio must be"),
+        "heat_trace-N": (lambda: spectra.heat_trace(spec_n, INF), "t must be"),
+        "reflection-t0": (lambda: smoothing.reflection_heat_bound(rect, "dirichlet", mid, 0.0),
+                          "t must be"),
+        "riesz_lift": (lambda: riesz.riesz_lift(step, INF), "kappa must be"),
+        "semigroup_check": (lambda: riesz.semigroup_check(step, INF, 1.0), "kappa1, kappa2 must be"),
+        "interpolation": (lambda: riesz.riesz_interpolation_certificate(step, 0.5, INF),
+                          "need 0 < sigma < gamma < inf"),
+        # used to raise OverflowError
+        "optimize_rectangle": (lambda: shapeopt.optimize_rectangle(INF, 1.0, "dirichlet"),
+                               "lambda must be"),
+        "objective-lambda": (lambda: shapeopt.rectangle_riesz_objective(1.0, INF, 1.0, "dirichlet"),
+                             "lambda must be"),
+        "pointwise-inf": (lambda: spectra.pointwise_spectral_function(rect, mid, INF, 1.0, "dirichlet"),
+                          "lambda grid must be finite"),
+        "reflection-inf": (lambda: smoothing.reflection_heat_bound(rect, "dirichlet", mid, INF),
+                           "t must be"),
+        # used to raise ValueError("cannot convert float NaN to integer")
+        "pointwise-nan": (lambda: spectra.pointwise_spectral_function(rect, mid, NAN, 1.0, "dirichlet"),
+                          "lambda grid must be finite"),
+    }
+
+
+NON_FINITE = _non_finite_calls()
+
+
+@pytest.mark.parametrize("call, message", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_nan_or_infinite_input_is_refused_naming_its_quantity(call, message):
+    # a test like `t > 0` or `lam > complete_below` lets NaN or inf through to a
+    # "certified" count or tail, an overflow, or a RuntimeWarning
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
+
+
 def test_geometry_refuses_an_empty_suite():
     # --count 0 or -1 used to report a verdict over no polygons
     for count in ("0", "-1"):
@@ -346,6 +404,13 @@ BAD_INPUT = {
                             "lambda_max must be > 0 and finite"),
     "disk-lambda-max-inf": (["spectrum", "--domain", "disk:1", "--lambda-max", "inf",
                              "--out", "x.spec"], "lambda_max must be > 0 and finite"),
+    # exact spectra take no FD step; they used to ignore it and print it in the config
+    "disk-grid-h": (["weyl-check", "--domain", "disk:1", "--grid-h", "0.5", "--lambda", "100:100:1"],
+                    "--grid-h applies to polygon domains only"),
+    "rect-grid-h-heat": (["heat-check", "--domain", "rect:1:2", "--grid-h", "0.02", "--t", "0.01:0.02:2"],
+                         "--grid-h applies to polygon domains only"),
+    "rect-grid-h-spectrum": (["spectrum", "--domain", "rect:1:2", "--grid-h", "0.1", "--lambda-max", "100",
+                              "--out", "x.spec"], "--grid-h applies to polygon domains only"),
 }
 
 

@@ -64,6 +64,22 @@ def test_no_global_warning_or_floating_point_switches():
     assert not found, f"global warning switches in weylab: {', '.join(found)}"
 
 
+def test_input_rules_live_in_constants():
+    # "finite and > 0" and "finite and >= 0" are weylab.constants.check_positive and
+    # check_nonnegative; a hand-written copy tends to drop the finiteness and let NaN
+    # or inf through.  riesz keeps its own, since importing it loads no other module.
+    rule = re.compile(r"must be (finite and )?>=? 0")
+    found = []
+    for path, node in _package_nodes():
+        if path.name in ("constants.py", "riesz.py") or not isinstance(node, ast.Raise):
+            continue
+        text = " ".join(c.value for c in ast.walk(node)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        if rule.search(text):
+            found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"hand-written input rules outside constants: {', '.join(found)}"
+
+
 def test_only_benchmarked_caches():
     # a cache stays only where the bench shows it pays: build_mollifier shares the
     # one family across a process, and ConvexPolygon._schedule serves the center,
