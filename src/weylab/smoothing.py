@@ -445,8 +445,8 @@ def tauberian_order_check(rect, bc, x, gamma, lambda_grid):
     """
     bc = check_bc(bc)
     lam = np.sort(np.asarray(lambda_grid, dtype=float))
-    if lam[0] <= 0:
-        raise ValueError("lambda grid must be positive")
+    if not (lam.size and lam[0] > 0):
+        raise ValueError("lambda grid must be positive and non-empty")
     decades = math.log10(lam[-1] / lam[0])
     if decades < 1.5:
         raise ValueError(f"insufficient lambda range: {decades:.2f} decades < 1.5")

@@ -133,7 +133,9 @@ class Spectrum:
         ev = np.asarray(eigenvalues, dtype=float)
         if ev.ndim != 1:
             raise ValueError("eigenvalues must be a flat list")
-        if len(ev) and np.any(np.diff(ev) < 0):
+        if not np.all(np.isfinite(ev)):
+            raise ValueError("eigenvalues must be finite")
+        if not np.all(np.diff(ev) >= 0):
             raise ValueError("eigenvalues must be nondecreasing")
         if np.any(ev < 0):
             raise ValueError("negative eigenvalue")
@@ -341,25 +343,6 @@ def _count_below(red_black, cut):
     return int(np.count_nonzero(_ldlt(M, (d - cut) ** 2).U.diagonal() > 0))
 
 
-def _lift(C, x, mu, out):
-    """Into out: z = (x, C x / sqrt(mu)) / |z| per column, the A-eigenvector of each M-eigenpair."""
-    n_s = len(x)
-    out[:n_s] = x
-    out[n_s:] = C @ x / np.sqrt(mu)
-    out /= np.linalg.norm(out, axis=0)
-    return out
-
-
-def _gap_cut(w, resid, lo, hi, cut):
-    """The midpoint between consecutive sorted Ritz values w that lies in (lo, hi), beyond
-    every Ritz value's residual, and nearest to cut."""
-    mid = 0.5 * (w[1:] + w[:-1])
-    clear = [m for m in mid if lo < m < hi and np.all(np.abs(w - m) > resid)]
-    if not clear:
-        raise RuntimeError(f"FD window cut {cut} is ambiguous and no clear gap lies in ({lo}, {hi})")
-    return min(clear, key=lambda m: abs(m - cut))
-
-
 def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     """Every Dirichlet eigenvalue below lambda_max of the 5-point Laplacian on an h-aligned grid.
 
@@ -370,11 +353,19 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     ceil(N / FD_WINDOW_PAIRS) equal windows, each cut's count again from inertia.  Each
     window runs one shift-invert eigsh on M at the midpoint of its mu-interval, for its
     count c plus two pairs, on the same kind of symmetric L D L^T that gives the counts.
-    Each Ritz vector x is lifted to (x, C x / sqrt(mu)) and its value is the Rayleigh
-    quotient on A.  Every pair must have a small residual on A, each window must hold
-    exactly c Ritz values, and all N vectors must be orthonormal.  A Ritz value within its
-    residual of an interior cut moves that cut into a clear gap, which is recounted; a
-    second ambiguity there raises.
+    Each Ritz vector x is lifted once to z = (x, C x / sqrt(mu)) / |.|, whose Rayleigh
+    quotient w on A is its value; every pair's residual on A must be small.  A window
+    certifies its own pairs: it must hold exactly c Ritz values, their vectors Z must have
+    Z^T Z = I to 1e-8 per entry, and every Ritz value must lie more than 2 r_win from the
+    interior cuts, where r_win >= ||A Z - Z diag(w)||_2 is the 2-norm of its residuals.
+    Kahan's theorem (Parlett, The Symmetric Eigenvalue Problem, ch. 11) then gives c
+    distinct eigenvalues of A, each within sqrt(2) r_win / sigma_min(Z) < 2 r_win of its
+    Ritz value, since sigma_min(Z)^2 >= 1 - 1e-8 c > 1/2 for c < n_s <= MAX_EIGENVALUES.
+    They lie in the window, which holds exactly c by inertia: each eigenvalue there is
+    matched once, and no pair can repeat across the disjoint windows.  No eigenvalue lies
+    below the cut 0; lambda_max is not tested.  A Ritz value within 2 r_win of an interior
+    cut drops that cut, and the two windows beside it are solved again as one; each merge
+    removes a cut, so this ends at the latest in a single window.
     """
     check_positive(h, "h")
     r_in = poly.inradius
@@ -424,8 +415,7 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     # vector would be orthogonal to every odd eigenvector of a symmetric domain
     v0 = np.random.default_rng(0).standard_normal(n_s)
     norm_a = 8.0 / h**2
-    vals, vecs = np.empty(num_eigs), np.empty((n_pts, num_eigs))
-    moved, j = set(), 0
+    vals, j = np.empty(num_eigs), 0
     while j < n_win:
         lo, hi, count = cuts[j], cuts[j + 1], below[j + 1] - below[j]
         if count < 0:
@@ -435,42 +425,40 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
         mu, x = eigsh(M, k=min(count + 2, n_s - 1), sigma=sigma, which="LM", v0=v0,
                       OPinv=LinearOperator(M.shape, matvec=lu.solve, dtype=float))
         del lu
-        w, resid = np.empty(len(mu)), np.empty(len(mu))
+        z, w, resid = np.empty((n_pts, len(mu))), np.empty(len(mu)), np.empty(len(mu))
         for c in range(0, len(mu), LIFT_COLUMNS):
-            b = slice(c, min(c + LIFT_COLUMNS, len(mu)))
-            zb = _lift(C, x[:, b], mu[b], np.empty((n_pts, b.stop - c)))
+            b = slice(c, c + LIFT_COLUMNS)
+            zb = z[:, b]
+            zb[:n_s], zb[n_s:] = x[:, b], C @ x[:, b] / np.sqrt(mu[b])
+            zb /= np.linalg.norm(zb, axis=0)
             Az = A @ zb
             w[b] = np.einsum("ij,ij->j", zb, Az)
             resid[b] = np.linalg.norm(Az - zb * w[b], axis=0)
+        del x  # before the next window's eigsh builds its workspace
         order = np.argsort(w)
         w, resid = w[order], resid[order]
         if not np.all(resid <= 1e-9 * norm_a):
             worst = int(np.argmax(resid))
             raise RuntimeError(f"FD eigenpair {worst} residual {resid[worst]:.3e} exceeds 1e-9*||A|| = {1e-9 * norm_a:.3e}")
-        near = [i for i in (j, j + 1) if 0 < i < n_win and np.any(np.abs(w - cuts[i]) <= resid)]
+        r_win = np.linalg.norm(resid)
+        near = [i for i in (j, j + 1) if 0 < i < n_win and np.any(np.abs(w - cuts[i]) <= 2.0 * r_win)]
         if near:
             i = near[0]
-            if i in moved:
-                raise RuntimeError(f"FD window cut {cuts[i]} stays ambiguous after recounting")
-            cuts[i] = _gap_cut(w, resid, cuts[i - 1], cuts[i + 1], cuts[i])
-            below[i] = _count_below(red_black, cuts[i])
-            moved.add(i)
-            j = i - 1
-        else:
-            inside = (w >= lo) & (w < hi)
-            if np.count_nonzero(inside) != count:
-                raise RuntimeError(f"eigsh finds {np.count_nonzero(inside)} eigenvalues in [{lo}, {hi}),"
-                                   f" the inertia count {count}")
-            vals[below[j]:below[j + 1]], cols = w[inside], order[inside]
-            for c in range(0, count, LIFT_COLUMNS):
-                b = cols[c:c + LIFT_COLUMNS]
-                _lift(C, x[:, b], mu[b], vecs[:, below[j] + c:below[j] + c + len(b)])
-            j += 1
-        del x  # before the next window's eigsh builds its workspace
-    # orthonormality rules out one eigenpair returned twice in place of another
-    gram = np.abs(vecs.T @ vecs - np.eye(num_eigs)).max(initial=0.0)
-    if gram > 1e-8:
-        raise RuntimeError(f"FD eigenvectors are not orthonormal: max |V^T V - I| = {gram:.3e}")
+            del cuts[i], below[i]
+            n_win, j = n_win - 1, i - 1
+            continue
+        inside = (w >= lo) & (w < hi)
+        if np.count_nonzero(inside) != count:
+            raise RuntimeError(f"eigsh finds {np.count_nonzero(inside)} eigenvalues in [{lo}, {hi}),"
+                               f" the inertia count {count}")
+        # orthonormality rules out one eigenpair returned twice in place of another
+        cols = order[inside]
+        gram = np.abs((z.T @ z)[np.ix_(cols, cols)] - np.eye(count)).max(initial=0.0)
+        if gram > 1e-8:
+            raise RuntimeError(f"FD eigenvectors in [{lo}, {hi}) are not orthonormal:"
+                               f" max |Z^T Z - I| = {gram:.3e}")
+        vals[below[j]:below[j + 1]] = w[inside]
+        j += 1
     return Spectrum(vals, DIRICHLET, lambda_max, poly, exact=False)
 
 
@@ -524,8 +512,8 @@ def pointwise_spectral_function(rect, x, lam, gamma, bc):
     if not (0.0 < px < rect.a and 0.0 < py < rect.b):
         raise ValueError("x must lie strictly inside the rectangle")
     lams = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lams)):
-        raise ValueError("lambda grid must be finite")
+    if not (lams.size and np.all(np.isfinite(lams))):
+        raise ValueError("lambda grid must be finite and non-empty")
     m, n, ev = _rectangle_modes(rect.a, rect.b, bc, float(np.max(lams)) * (1.0 + 1e-9))
     # |u_mn(x)|^2 = w_m w_n / |Omega| f(m pi x / a)^2 f(n pi y / b)^2, w = 1 at index 0, else 2
     f = np.sin if bc == DIRICHLET else np.cos

@@ -486,3 +486,6 @@ def test_pointwise_order_fit_refusals():
         tauberian_order_check(sq, DIRICHLET, (0.5, 0.5), 1.0, np.geomspace(1e3, 1e5, 6))
     with pytest.raises(ValueError):
         tauberian_order_check(sq, DIRICHLET, (0.5, 0.5), 1.0, np.linspace(-1.0, 1e5, 100))
+    # an empty grid used to raise IndexError
+    with pytest.raises(ValueError, match="lambda grid must be positive and non-empty"):
+        tauberian_order_check(sq, DIRICHLET, (0.5, 0.5), 1.0, [])

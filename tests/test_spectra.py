@@ -296,6 +296,21 @@ def test_spectrum_validation():
         Spectrum([1.0, 2.0], DIRICHLET, 0.0, dom, True)
 
 
+def test_spectrum_refuses_non_finite_eigenvalues(tmp_path):
+    # a NaN made both the order and the sign test false: [5, nan, 1] was accepted, and its
+    # counting function at 3 returned 0 with the eigenvalue 1 below 3
+    dom = Rectangle(1.0, 1.0)
+    for ev in ([5.0, math.nan, 1.0], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            Spectrum(ev, DIRICHLET, 100.0, dom, True)
+    path = tmp_path / "nan.spec"
+    rectangle_spectrum(1.0, 1.0, DIRICHLET, 100.0).save(path)
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(header + first + "1,nan,1\n" + "".join(rest))
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        Spectrum.load(path)
+
+
 def test_domain_dataclasses():
     r = Rectangle(2.0, 0.5)
     assert r.area == 1.0 and r.perimeter == 5.0
@@ -420,9 +435,9 @@ def test_fd_windows_match_the_closed_form(monkeypatch):
 
 
 def test_fd_footprint():
-    # eigsh runs on M = C^T C (1200 unknowns, not 2401) and the Ritz vectors reach A
-    # 16 columns at a time; measured 9.4 MB, where eigsh on A with whole-window
-    # temporaries peaked at 12.6-13.2 MB
+    # eigsh runs on M = C^T C (1200 unknowns, not 2401), the Ritz vectors reach A 16
+    # columns at a time, and only one window's lifted vectors are kept for its Gram
+    # check; measured 5.65 MB, where keeping all N lifted vectors peaked at 9.4 MB
     sq = ConvexPolygon.rectangle(1.0, 1.0)
     polygon_dirichlet_spectrum_fd(sq, SQUARE_H, SQUARE_LAMBDA)
     tracemalloc.start()
@@ -431,7 +446,7 @@ def test_fd_footprint():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10.5e6, f"FD peak {peak / 1e6:.2f} MB"
+    assert peak <= 7e6, f"FD peak {peak / 1e6:.2f} MB"
 
 
 def test_fd_windows_refuse_an_uncertified_count(monkeypatch):
@@ -477,13 +492,25 @@ def test_fd_windows_refuse_an_uncertified_count(monkeypatch):
         polygon_dirichlet_spectrum_fd(sq, SQUARE_H, SQUARE_LAMBDA)
 
 
+def _spy_eigsh_shifts(monkeypatch):
+    """The shifts of every eigsh call of the FD solver, in call order."""
+    shifts, solver = [], spectra.eigsh
+
+    def spy(A, k, sigma, **kwargs):
+        shifts.append(sigma)
+        return solver(A, k, sigma=sigma, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigsh", spy)
+    return shifts
+
+
 @pytest.mark.parametrize("split", [0, 1, 2])
 def test_fd_cut_on_a_double_eigenvalue(monkeypatch, split):
     # windows of 3 pairs put the first cut of [0, 3*mu) on the (1,2)/(2,1) pair mu; whatever
-    # the inertia at mu says (both, one or neither of the pair below it), the cut moves into
-    # a gap, is recounted, and every eigenvalue lands in its own window.  The three counts
-    # at mu are built from the exact count below the pair, not from the inertia at mu,
-    # which depends on roundoff
+    # the inertia at mu says (both, one or neither of the pair below it), the window [0, mu)
+    # finds a Ritz value at its cut, drops the cut and solves [0, 2*mu) as one window.  The
+    # three counts at mu are built from the exact count below the pair, not from the
+    # inertia at mu, which depends on roundoff
     sq = ConvexPolygon.rectangle(1.0, 1.0)
     exact = _square_fd_eigenvalues(SQUARE_H)
     mu = exact[1]
@@ -496,25 +523,63 @@ def test_fd_cut_on_a_double_eigenvalue(monkeypatch, split):
         return int(np.count_nonzero(exact < mu)) + 2 - split if abs(shift - mu) <= 1e-12 * mu else c
 
     monkeypatch.setattr(spectra, "_count_below", split_pair)
+    shifts = _spy_eigsh_shifts(monkeypatch)
     spec = polygon_dirichlet_spectrum_fd(sq, SQUARE_H, 3.0 * mu)
     want = exact[exact < 3.0 * mu]
     assert len(spec) == len(want) == 8
     assert np.max(np.abs(spec.eigenvalues - want)) < 1e-9 * mu
-    # N, the counts at mu and 2*mu, then one recount at the moved cut
-    assert len(calls) == 4
-    cut, count = calls[3]     # in the gap below the pair or the gap above it
-    assert exact[0] < cut < exact[1] or exact[2] < cut < exact[3]
-    assert count == np.count_nonzero(exact < cut)
+    # N, then the counts at mu and 2*mu, and no recount
+    assert [s for s, _ in calls] == pytest.approx([3.0 * mu, mu, 2.0 * mu], rel=1e-12)
+    # [0, mu), then the merged [0, 2*mu) at the midpoint of its mu-interval, then [2*mu, 3*mu)
+    d, two_mu = 4.0 / SQUARE_H**2, calls[2][0]
+    assert len(shifts) == 3
+    assert shifts[1] == 0.5 * (d**2 + (d - two_mu) ** 2)
 
 
-def test_fd_cut_that_stays_ambiguous_raises(monkeypatch):
+def test_fd_merges_down_to_one_window(monkeypatch):
+    # N(2*mu) = 6 in two windows of 3 pairs, whose one interior cut lies on the pair mu:
+    # the cut goes and [0, 2*mu) is solved as a single window
     sq = ConvexPolygon.rectangle(1.0, 1.0)
-    mu = _square_fd_eigenvalues(SQUARE_H)[1]
+    exact = _square_fd_eigenvalues(SQUARE_H)
+    mu = exact[1]
     monkeypatch.setattr(spectra, "FD_WINDOW_PAIRS", 3)
-    # a cut that does not move off the pair is ambiguous twice
-    monkeypatch.setattr(spectra, "_gap_cut", lambda w, resid, lo, hi, cut: cut)
-    with pytest.raises(RuntimeError, match="ambiguous"):
-        polygon_dirichlet_spectrum_fd(sq, SQUARE_H, 3.0 * mu)
+    calls, inertia = [], spectra._count_below
+
+    def spy(A, shift):
+        calls.append(shift)
+        return inertia(A, shift)
+
+    monkeypatch.setattr(spectra, "_count_below", spy)
+    shifts = _spy_eigsh_shifts(monkeypatch)
+    spec = polygon_dirichlet_spectrum_fd(sq, SQUARE_H, 2.0 * mu)
+    want = exact[exact < 2.0 * mu]
+    assert len(spec) == len(want) == 6
+    assert np.max(np.abs(spec.eigenvalues - want)) < 1e-9 * mu
+    assert calls == [2.0 * mu, mu]
+    d = 4.0 / SQUARE_H**2
+    assert shifts[-1] == 0.5 * (d**2 + (d - 2.0 * mu) ** 2) and len(shifts) == 2
+
+
+def test_fd_refuses_a_pair_from_another_window(monkeypatch):
+    # window [750, 1500) gets a pair of window [0, 750) in place of one of its own: the
+    # borrowed Ritz value lies outside the window, whose count then falls short
+    d = 4.0 / SQUARE_H**2
+    first, second = (0.5 * ((d - lo) ** 2 + (d - hi) ** 2) for lo, hi in ((0.0, 750.0), (750.0, 1500.0)))
+    solver, pairs = spectra.eigsh, {}
+
+    def borrow(A, k, sigma, **kwargs):
+        w, v = solver(A, k, sigma=sigma, **kwargs)
+        pairs[sigma] = w.copy(), v.copy()
+        if sigma == second:
+            fw, fv = pairs[first]
+            i, j = np.argmin(np.abs(fw - first)), np.argmin(np.abs(w - sigma))
+            w[j], v[:, j] = fw[i], fv[:, i]
+        return w, v
+
+    monkeypatch.setattr(spectra, "eigsh", borrow)
+    with pytest.raises(RuntimeError, match=r"in \[750.0, 1500.0\), the inertia count"):
+        polygon_dirichlet_spectrum_fd(ConvexPolygon.rectangle(1.0, 1.0), SQUARE_H, SQUARE_LAMBDA)
+    assert first in pairs and second in pairs
 
 
 def test_pointwise_spectral_function_center_values():
@@ -529,6 +594,9 @@ def test_pointwise_spectral_function_center_values():
         pointwise_spectral_function(rect, (0.0, 0.5), 50.0, 0.0, DIRICHLET)
     with pytest.raises(ValueError):
         pointwise_spectral_function(rect, (0.5, 0.5), 50.0, -1.0, DIRICHLET)
+    # an empty grid used to end in numpy's "zero-size array" error
+    with pytest.raises(ValueError, match="lambda grid must be finite and non-empty"):
+        pointwise_spectral_function(rect, (0.5, 0.5), np.array([]), 1.0, DIRICHLET)
 
 
 def _pointwise_by_double_loop(a, b, x, lam, gamma, bc):
