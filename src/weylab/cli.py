@@ -2,13 +2,22 @@
 
 Every report embeds the command, library version, and the full flag set it was
 produced from; no timestamps or hostnames, so identical configs give identical
-bytes.  Dense series go to CSV side files, everything else into the report.
+bytes on any core count and whatever OPENBLAS_NUM_THREADS says (they may still
+differ across CPU kernel families and BLAS builds).  Dense series go to CSV
+side files, everything else into the report.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
+
+# One BLAS thread, set before numpy loads OpenBLAS: a second thread reorders the
+# dgemv sums of the FD eigensolve, which moves FD report digits with the host's
+# core count, and on its small panels it spins a second core for no wall-time gain.
+# A library caller that loaded numpy first keeps its own thread pool.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -33,6 +33,11 @@ FD_WINDOW_PAIRS = 75
 # Ritz vectors lifted from the half-size matrix to the 5-point matrix at a time
 LIFT_COLUMNS = 16
 
+# relative steps up from an FD cut whose count does not factor with diagonal pivots:
+# at a round cut M - shift*I can be a multiple of an integer matrix with an exactly
+# singular leading minor, and 1e-6 already lifts that pivot far above roundoff
+FD_CUT_STEPS = (0.0, 1e-6, 1e-4)
+
 
 class CapacityError(RuntimeError):
     """Requested enumeration would exceed the configured memory cap."""
@@ -343,6 +348,21 @@ def _count_below(red_black, cut):
     return int(np.count_nonzero(_ldlt(M, (d - cut) ** 2).U.diagonal() > 0))
 
 
+def _count_from(red_black, cut):
+    """(c, eigenvalues below c) at the first c = cut * (1 + s), s in FD_CUT_STEPS, with c < d,
+    whose count factors with diagonal pivots; the last refusal is raised when none does."""
+    d = red_black[1]
+    for step in FD_CUT_STEPS:
+        c = cut * (1.0 + step)
+        if not c < d:
+            break
+        try:
+            return c, _count_below(red_black, c)
+        except RuntimeError as err:
+            refusal = err
+    raise refusal
+
+
 def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     """Every Dirichlet eigenvalue below lambda_max of the 5-point Laplacian on an h-aligned grid.
 
@@ -365,7 +385,11 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     matched once, and no pair can repeat across the disjoint windows.  No eigenvalue lies
     below the cut 0; lambda_max is not tested.  A Ritz value within 2 r_win of an interior
     cut drops that cut, and the two windows beside it are solved again as one; each merge
-    removes a cut, so this ends at the latest in a single window.
+    removes a cut, so this ends at the latest in a single window.  A cut whose count does
+    not factor with diagonal pivots is counted a little higher (_count_from).  When that
+    moves lambda_max up to top, [0, top) is solved, the eigenvalues below lambda_max are
+    kept, and a window refuses an accepted Ritz value within 2 r_win of lambda_max, whose
+    eigenvalue could lie on either side of it.
     """
     check_positive(h, "h")
     r_in = poly.inradius
@@ -405,12 +429,14 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
         raise RuntimeError("FD Laplacian is not 4/h^2 minus a symmetric red-black coupling")
     M = (C.T @ C).tocsr()
     red_black = (M, d)
-    num_eigs = _count_below(red_black, lambda_max)
+    top, num_eigs = _count_from(red_black, lambda_max)
     if n_s < max(num_eigs, 3) + 2:
-        raise InsufficientResolutionError(f"grid has {n_s} unknowns per colour for N({lambda_max}) = {num_eigs}")
+        raise InsufficientResolutionError(f"grid has {n_s} unknowns per colour for N({top}) = {num_eigs}")
     n_win = max(1, math.ceil(num_eigs / FD_WINDOW_PAIRS))
-    cuts = [lambda_max * j / n_win for j in range(n_win + 1)]
-    below = [0] + [_count_below(red_black, c) for c in cuts[1:-1]] + [num_eigs]
+    cuts = [top * j / n_win for j in range(n_win + 1)]
+    below = [0] * n_win + [num_eigs]
+    for i in range(1, n_win):
+        cuts[i], below[i] = _count_from(red_black, cuts[i])
     # seeded start vector, so identical inputs give identical bytes; a constant
     # vector would be orthogonal to every odd eigenvector of a symmetric domain
     v0 = np.random.default_rng(0).standard_normal(n_s)
@@ -457,9 +483,12 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
         if gram > 1e-8:
             raise RuntimeError(f"FD eigenvectors in [{lo}, {hi}) are not orthonormal:"
                                f" max |Z^T Z - I| = {gram:.3e}")
+        if top > lambda_max and np.any(np.abs(w[inside] - lambda_max) <= 2.0 * r_win):
+            raise RuntimeError(f"an FD eigenvalue lies within 2 r_win = {2.0 * r_win:.3e} of lambda_max ="
+                               f" {lambda_max}, whose count does not factor; count not certified")
         vals[below[j]:below[j + 1]] = w[inside]
         j += 1
-    return Spectrum(vals, DIRICHLET, lambda_max, poly, exact=False)
+    return Spectrum(vals[vals < lambda_max], DIRICHLET, lambda_max, poly, exact=False)
 
 
 def counting_function(spec, lam):

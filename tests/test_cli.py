@@ -458,17 +458,20 @@ def test_identical_invocations_identical_bytes(capsys):
 
 
 def test_fd_reports_are_identical_across_processes(tmp_path):
-    # eigsh's start vector is seeded, so separate processes print the same bytes
-    square = tmp_path / "square.json"
-    save_polygon(ConvexPolygon.rectangle(1.0, 1.0), str(square))
-    argv = [sys.executable, "-m", "weylab.cli", "heat-check", "--domain", f"polygon:{square}",
-            "--grid-h", "0.02", "--t", "0.01:0.04:4"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(weylab.__file__)), os.environ.get("PYTHONPATH", "")]))
-    runs = [subprocess.run(argv, capture_output=True, env=env, check=True).stdout
-            for _ in range(2)]
+    # eigsh's start vector is seeded, and the CLI runs BLAS on one thread whatever
+    # OPENBLAS_NUM_THREADS says: on this hexagon two BLAS threads would reorder eigsh's
+    # sums and move the report's last digits (seen on a 2-core SkylakeX host)
+    hexagon = tmp_path / "hexagon.json"
+    save_polygon(ConvexPolygon.regular(6, area=1.0), str(hexagon))
+    argv = [sys.executable, "-m", "weylab.cli", "weyl-check", "--domain", f"polygon:{hexagon}",
+            "--grid-h", "0.012", "--lambda", "1e3:1e3:1"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(weylab.__file__)), os.environ.get("PYTHONPATH", "")])
+    runs = [subprocess.run(argv, capture_output=True, env=dict(env, **threads), check=True).stdout
+            for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})]
     assert json.loads(runs[0])["results"]["rows"]
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_argparse_exits_are_propagated(capsys):

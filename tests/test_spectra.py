@@ -582,6 +582,62 @@ def test_fd_refuses_a_pair_from_another_window(monkeypatch):
     assert first in pairs and second in pairs
 
 
+def test_fd_round_lambda_max_is_counted_a_little_higher(monkeypatch):
+    # at h = 0.02 every entry of M = C^T C is a multiple of 1/h^4, and at lambda_max h^2 = 1
+    # or 2 so is the shift (4/h^2 - lambda_max)^2: a leading minor of M - shift*I is exactly
+    # singular, and the count at lambda_max pivoted off the diagonal.  It is taken at
+    # lambda_max (1 + 1e-6) instead, and the eigenvalues below lambda_max are kept
+    pent = ConvexPolygon.regular(5)
+    calls, inertia = [], spectra._count_below
+
+    def spy(A, shift):
+        calls.append(shift)
+        return inertia(A, shift)
+
+    monkeypatch.setattr(spectra, "_count_below", spy)
+    ref = polygon_dirichlet_spectrum_fd(pent, 0.02, 5001.0).eigenvalues
+    for lam in (2500.0, 5000.0):
+        del calls[:]
+        spec = polygon_dirichlet_spectrum_fd(pent, 0.02, lam)
+        assert calls[:2] == [lam, lam * (1.0 + 1e-6)]
+        assert spec.complete_below == lam
+        # the certified count below 2501 (5001) holds no eigenvalue at or above 2500 (5000)
+        assert len(spec) == np.count_nonzero(ref < lam + 1.0) == {2500.0: 206, 5000.0: 454}[lam]
+        assert np.max(np.abs(spec.eigenvalues - ref[:len(spec)]) / spec.eigenvalues) < 1e-12
+    monkeypatch.undo()
+
+    def off_diagonal(A, shift):
+        raise RuntimeError(f"inertia factorization at {shift} pivoted off the diagonal")
+
+    monkeypatch.setattr(spectra, "_ldlt", off_diagonal)
+    with pytest.raises(RuntimeError, match="off the diagonal"):
+        polygon_dirichlet_spectrum_fd(pent, 0.02, 2499.0)
+
+
+def test_fd_refuses_an_eigenvalue_at_a_moved_lambda_max(monkeypatch):
+    # a count at lambda_max that does not factor moves up; when lambda_max sits on a square
+    # eigenvalue, its Ritz value cannot be put on either side of lambda_max
+    sq = ConvexPolygon.rectangle(1.0, 1.0)
+    eleventh = _square_fd_eigenvalues(SQUARE_H)[10]
+    inertia = spectra._count_below
+
+    def count_fails_at(lam):
+        def count(A, shift):
+            if shift == lam:
+                raise RuntimeError(f"inertia factorization at {shift} pivoted off the diagonal")
+            return inertia(A, shift)
+        monkeypatch.setattr(spectra, "_count_below", count)
+
+    count_fails_at(eleventh)
+    with pytest.raises(RuntimeError, match="within 2 r_win .* of lambda_max"):
+        polygon_dirichlet_spectrum_fd(sq, SQUARE_H, eleventh)
+    # 1e-5 below it, farther than 2 r_win, the solve runs past that eigenvalue and drops it
+    lam = eleventh - 1e-5
+    count_fails_at(lam)
+    spec = polygon_dirichlet_spectrum_fd(sq, SQUARE_H, lam)
+    assert len(spec) == 10 and spec.complete_below == lam and spec.eigenvalues[-1] < lam
+
+
 def test_pointwise_spectral_function_center_values():
     rect = Rectangle(1.0, 1.0)
     # below 50 only the (1,1) mode survives the sin^2 weights at the center
