@@ -304,21 +304,16 @@ def _containment_sup(poly):
     the functional, so containment in each edge half-plane gives an explicit
     bound (b_j - n_j . v_i) / m_ij.
     """
-    unit = poly._edges / poly._lengths[:, None]
-    sup = np.inf
-    for i in range(poly.n):
-        # the wedge at v_i spans the cone from the outgoing edge d1 to the
-        # reversed incoming edge d2, counterclockwise
-        d1, d2 = unit[i], -unit[i - 1]
-        for j in range(poly.n):
-            nrm = poly.normals[j]
-            m = max(0.0, float(np.dot(nrm, d1)), float(np.dot(nrm, d2)))
-            if _cross(d1, nrm) >= 0.0 and _cross(nrm, d2) >= 0.0:
-                m = 1.0
-            if m > 1e-14:
-                gap = poly.offsets[j] - float(np.dot(nrm, poly.vertices[i]))
-                sup = min(sup, gap / m)
-    return float(sup)
+    # row i: the wedge at v_i spans the cone from the outgoing edge d1 to the
+    # reversed incoming edge d2, counterclockwise; column j: edge j's half-plane
+    d1 = poly._edges / poly._lengths[:, None]
+    d2 = -np.roll(d1, 1, axis=0)
+    nrm = poly.normals
+    m = np.maximum(0.0, np.maximum(d1 @ nrm.T, d2 @ nrm.T))
+    m[(_cross(d1[:, None], nrm) >= 0.0) & (_cross(nrm, d2[:, None]) >= 0.0)] = 1.0
+    gap = poly.offsets - poly.vertices @ nrm.T
+    keep = m > 1e-14
+    return float(np.min(gap[keep] / m[keep], initial=np.inf))
 
 
 def corner_params(poly):

@@ -82,6 +82,7 @@ class MollifierFamily:
         padded[:self._cos_coef.size] = self._cos_coef
         psi_tab = np.fft.rfft(padded).real[:self.tab_grid.size]
         self._phi_tab = psi_tab * psi_tab
+        del padded, psi_tab  # 16 MB with the rfft output psi_tab views; the spline reads neither
         # clamp the (exact) even symmetry at 0
         spline = CubicSpline(self.tab_grid, self._phi_tab, bc_type=((1, 0.0), "not-a-knot"))
         self._half_moments = _spline_half_moments(spline)

@@ -33,9 +33,9 @@ FD_WINDOW_PAIRS = 75
 # Ritz vectors lifted from the half-size matrix to the 5-point matrix at a time
 LIFT_COLUMNS = 16
 
-# relative steps up from an FD cut whose count does not factor with diagonal pivots:
-# at a round cut M - shift*I can be a multiple of an integer matrix with an exactly
-# singular leading minor, and 1e-6 already lifts that pivot far above roundoff
+# relative steps down from an FD cut whose count is not trusted: at a round cut
+# M - shift*I can be a multiple of an integer matrix with an exactly singular leading
+# minor, and 1e-6 already lifts that pivot far above roundoff
 FD_CUT_STEPS = (0.0, 1e-6, 1e-4)
 
 
@@ -333,43 +333,37 @@ def disk_spectrum(radius, bc, lambda_max):
 def _ldlt(A, shift):
     """Sparse LU of A - shift*I in symmetric mode: with diagonal pivots and one symmetric
     permutation it is L D L^T with D = diag(U), so its inertia is that of A - shift*I."""
-    lu = splu((A - shift * sparse.identity(A.shape[0], format="csr")).tocsc(),
-              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError(f"inertia factorization at {shift} pivoted off the diagonal; count not certified")
-    return lu
+    return splu((A - shift * sparse.identity(A.shape[0], format="csr")).tocsc(),
+                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
 
 
-def _count_below(red_black, cut):
-    """Eigenvalues below cut < d of A = d*I - [[0, C^T], [C, 0]], given red_black = (M, d)
-    with M = C^T C: those d - sqrt(mu) with mu > (d - cut)^2, by Sylvester's law of inertia."""
-    M, d = red_black
-    return int(np.count_nonzero(_ldlt(M, (d - cut) ** 2).U.diagonal() > 0))
-
-
-def _count_from(red_black, cut):
-    """(c, eigenvalues below c) at the first c = cut * (1 + s), s in FD_CUT_STEPS, with c < d,
-    whose count factors with diagonal pivots; the last refusal is raised when none does."""
-    d = red_black[1]
+def _count_from(M, d, cut):
+    """(c, eigenvalues below c) of A = d*I - [[0, C^T], [C, 0]], M = C^T C, at the first
+    c = cut * (1 - s), s in FD_CUT_STEPS, whose L D L^T of M - (d - c)^2 I is trusted: it keeps
+    diagonal pivots, and none is within n*eps*max|pivot| of zero (n the order of M), where its
+    sign would be roundoff.  The count is that of the mu > (d - c)^2, by Sylvester's law of
+    inertia; when no step is trusted, the last refusal is raised."""
     for step in FD_CUT_STEPS:
-        c = cut * (1.0 + step)
-        if not c < d:
-            break
-        try:
-            return c, _count_below(red_black, c)
-        except RuntimeError as err:
-            refusal = err
-    raise refusal
+        c = cut * (1.0 - step)
+        lu = _ldlt(M, (d - c) ** 2)
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            refusal = "pivoted off the diagonal"
+            continue
+        pivots = lu.U.diagonal()
+        if np.min(np.abs(pivots)) > M.shape[0] * np.finfo(float).eps * np.max(np.abs(pivots)):
+            return c, int(np.count_nonzero(pivots > 0))
+        refusal = "has a roundoff pivot"
+    raise RuntimeError(f"inertia factorization at {c} {refusal}; count not certified")
 
 
 def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
-    """Every Dirichlet eigenvalue below lambda_max of the 5-point Laplacian on an h-aligned grid.
+    """Every 5-point Dirichlet eigenvalue on an h-aligned grid below a top cut <= lambda_max.
 
     The grid graph is bipartite, so with the unknowns ordered by colour, smaller colour
     first, A = d*I - [[0, C^T], [C, 0]] with d = 4/h^2, and every eigenvalue below d is
     d - sqrt(mu) for an eigenvalue mu > 0 of M = C^T C, which has half the unknowns.  The
-    inertia of M gives the count N below lambda_max < d.  [0, lambda_max) is sliced into
+    inertia of M gives the count N below top <= lambda_max < d.  [0, top) is sliced into
     ceil(N / FD_WINDOW_PAIRS) equal windows, each cut's count again from inertia.  Each
     window runs one shift-invert eigsh on M at the midpoint of its mu-interval, for its
     count c plus two pairs, on the same kind of symmetric L D L^T that gives the counts.
@@ -383,13 +377,11 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     Ritz value, since sigma_min(Z)^2 >= 1 - 1e-8 c > 1/2 for c < n_s <= MAX_EIGENVALUES.
     They lie in the window, which holds exactly c by inertia: each eigenvalue there is
     matched once, and no pair can repeat across the disjoint windows.  No eigenvalue lies
-    below the cut 0; lambda_max is not tested.  A Ritz value within 2 r_win of an interior
+    below the cut 0; the top cut is not tested.  A Ritz value within 2 r_win of an interior
     cut drops that cut, and the two windows beside it are solved again as one; each merge
-    removes a cut, so this ends at the latest in a single window.  A cut whose count does
-    not factor with diagonal pivots is counted a little higher (_count_from).  When that
-    moves lambda_max up to top, [0, top) is solved, the eigenvalues below lambda_max are
-    kept, and a window refuses an accepted Ritz value within 2 r_win of lambda_max, whose
-    eigenvalue could lie on either side of it.
+    removes a cut, so this ends at the latest in a single window.  A cut, lambda_max
+    included, whose L D L^T is not trusted is counted a little lower (_count_from); the
+    spectrum is complete below the top cut.
     """
     check_positive(h, "h")
     r_in = poly.inradius
@@ -428,15 +420,14 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
     if (abs(A - sparse.bmat([[None, -C.T], [-C, None]]) - d * sparse.identity(n_pts)) > 0).nnz:
         raise RuntimeError("FD Laplacian is not 4/h^2 minus a symmetric red-black coupling")
     M = (C.T @ C).tocsr()
-    red_black = (M, d)
-    top, num_eigs = _count_from(red_black, lambda_max)
+    top, num_eigs = _count_from(M, d, lambda_max)
     if n_s < max(num_eigs, 3) + 2:
         raise InsufficientResolutionError(f"grid has {n_s} unknowns per colour for N({top}) = {num_eigs}")
     n_win = max(1, math.ceil(num_eigs / FD_WINDOW_PAIRS))
     cuts = [top * j / n_win for j in range(n_win + 1)]
     below = [0] * n_win + [num_eigs]
     for i in range(1, n_win):
-        cuts[i], below[i] = _count_from(red_black, cuts[i])
+        cuts[i], below[i] = _count_from(M, d, cuts[i])
     # seeded start vector, so identical inputs give identical bytes; a constant
     # vector would be orthogonal to every odd eigenvector of a symmetric domain
     v0 = np.random.default_rng(0).standard_normal(n_s)
@@ -483,12 +474,9 @@ def polygon_dirichlet_spectrum_fd(poly, h, lambda_max):
         if gram > 1e-8:
             raise RuntimeError(f"FD eigenvectors in [{lo}, {hi}) are not orthonormal:"
                                f" max |Z^T Z - I| = {gram:.3e}")
-        if top > lambda_max and np.any(np.abs(w[inside] - lambda_max) <= 2.0 * r_win):
-            raise RuntimeError(f"an FD eigenvalue lies within 2 r_win = {2.0 * r_win:.3e} of lambda_max ="
-                               f" {lambda_max}, whose count does not factor; count not certified")
         vals[below[j]:below[j + 1]] = w[inside]
         j += 1
-    return Spectrum(vals[vals < lambda_max], DIRICHLET, lambda_max, poly, exact=False)
+    return Spectrum(vals, DIRICHLET, top, poly, exact=False)
 
 
 def counting_function(spec, lam):

@@ -483,7 +483,7 @@ def test_argparse_exits_are_propagated(capsys):
 
 def test_readme_cli_block_runs(readme_block_run):
     # every `weylab ...` line of the README's CLI block, run in a scratch
-    # directory, then the two extra lines of the function-entry trace
+    # directory, then the extra lines of the function-entry trace
     runs, _ = readme_block_run
     assert len(runs) >= 12
     for argv, code, out in runs:

@@ -376,21 +376,27 @@ def test_fd_count_is_the_closed_form_count():
         assert len(polygon_dirichlet_spectrum_fd(sq, h, 0.5 * exact[0])) == 0
 
 
+class OffDiagonal:
+    """A factorization whose row and column permutations differ."""
+    perm_r, perm_c = np.array([1, 0]), np.array([0, 1])
+
+
 def test_fd_refuses_an_uncertified_count(monkeypatch):
     from weylab import spectra
     sq = ConvexPolygon.rectangle(1.0, 1.0)
     # six eigenvalues below lam (19.70, 49.00 ×2, 78.31, 97.04 ×2)
     h, lam = 1.0 / 20.0, 100.0
-    inertia, solver = spectra._count_below, spectra.eigsh
+    inertia, solver = spectra._count_from, spectra.eigsh
     # an inertia count off by one either way disagrees with the eigensolver
     for off in (-1, 1):
-        monkeypatch.setattr(spectra, "_count_below", lambda A, shift, off=off: inertia(A, shift) + off)
+        def miscount(M, d, cut, off=off):
+            c, n = inertia(M, d, cut)
+            return c, n + off
+
+        monkeypatch.setattr(spectra, "_count_from", miscount)
         with pytest.raises(RuntimeError, match="inertia count"):
             polygon_dirichlet_spectrum_fd(sq, h, lam)
     monkeypatch.undo()
-
-    class OffDiagonal:
-        perm_r, perm_c = np.array([1, 0]), np.array([0, 1])
 
     monkeypatch.setattr(spectra, "splu", lambda *args, **kwargs: OffDiagonal())
     with pytest.raises(RuntimeError, match="off the diagonal"):
@@ -412,13 +418,13 @@ SQUARE_H, SQUARE_LAMBDA = 1.0 / 50.0, 3000.0   # N = 242: four windows
 
 
 def test_fd_windows_match_the_closed_form(monkeypatch):
-    calls, inertia = [], spectra._count_below
+    calls, inertia = [], spectra._count_from
 
-    def spy(A, shift):
-        calls.append((shift, inertia(A, shift)))
-        return calls[-1][1]
+    def spy(M, d, cut):
+        calls.append(inertia(M, d, cut))
+        return calls[-1]
 
-    monkeypatch.setattr(spectra, "_count_below", spy)
+    monkeypatch.setattr(spectra, "_count_from", spy)
     spec = polygon_dirichlet_spectrum_fd(ConvexPolygon.rectangle(1.0, 1.0), SQUARE_H, SQUARE_LAMBDA)
     want = _square_fd_eigenvalues(SQUARE_H)
     want = want[want < SQUARE_LAMBDA]
@@ -451,28 +457,28 @@ def test_fd_footprint():
 
 def test_fd_windows_refuse_an_uncertified_count(monkeypatch):
     sq = ConvexPolygon.rectangle(1.0, 1.0)
-    inertia, solver, factor = spectra._count_below, spectra.eigsh, spectra.splu
+    inertia, solver, factor = spectra._count_from, spectra.eigsh, spectra.splu
     # a miscount at one interior cut only: the two windows beside it disagree with eigsh
     for off in (-1, 1):
-        monkeypatch.setattr(spectra, "_count_below", lambda A, shift, off=off:
-                            inertia(A, shift) + (off if shift == 1500.0 else 0))
+        def miscount(M, d, cut, off=off):
+            c, n = inertia(M, d, cut)
+            return c, n + (off if cut == 1500.0 else 0)
+
+        monkeypatch.setattr(spectra, "_count_from", miscount)
         with pytest.raises(RuntimeError, match="inertia count"):
             polygon_dirichlet_spectrum_fd(sq, SQUARE_H, SQUARE_LAMBDA)
     monkeypatch.undo()
 
-    class OffDiagonal:
-        perm_r, perm_c = np.array([1, 0]), np.array([0, 1])
-
     calls = []
 
-    def off_diagonal_in_a_window(*args, **kwargs):   # the counts factor cleanly
+    def off_diagonal_at_one_cut(*args, **kwargs):   # every step of the cut 1500
         calls.append(1)
-        return OffDiagonal() if len(calls) == 6 else factor(*args, **kwargs)
+        return OffDiagonal() if 3 <= len(calls) <= 5 else factor(*args, **kwargs)
 
-    monkeypatch.setattr(spectra, "splu", off_diagonal_in_a_window)
+    monkeypatch.setattr(spectra, "splu", off_diagonal_at_one_cut)
     with pytest.raises(RuntimeError, match="off the diagonal"):
         polygon_dirichlet_spectrum_fd(sq, SQUARE_H, SQUARE_LAMBDA)
-    assert len(calls) == 6
+    assert len(calls) == 5
     monkeypatch.undo()
 
     # eigsh runs on M = C^T C, shifted to the midpoint of the window's interval in
@@ -515,14 +521,14 @@ def test_fd_cut_on_a_double_eigenvalue(monkeypatch, split):
     exact = _square_fd_eigenvalues(SQUARE_H)
     mu = exact[1]
     monkeypatch.setattr(spectra, "FD_WINDOW_PAIRS", 3)
-    calls, spy = [], spectra._count_below
+    calls, spy = [], spectra._count_from
 
-    def split_pair(A, shift):
-        c = spy(A, shift)
-        calls.append((shift, c))
-        return int(np.count_nonzero(exact < mu)) + 2 - split if abs(shift - mu) <= 1e-12 * mu else c
+    def split_pair(M, d, cut):
+        c, n = spy(M, d, cut)
+        calls.append((c, n))
+        return c, int(np.count_nonzero(exact < mu)) + 2 - split if abs(c - mu) <= 1e-12 * mu else n
 
-    monkeypatch.setattr(spectra, "_count_below", split_pair)
+    monkeypatch.setattr(spectra, "_count_from", split_pair)
     shifts = _spy_eigsh_shifts(monkeypatch)
     spec = polygon_dirichlet_spectrum_fd(sq, SQUARE_H, 3.0 * mu)
     want = exact[exact < 3.0 * mu]
@@ -543,13 +549,13 @@ def test_fd_merges_down_to_one_window(monkeypatch):
     exact = _square_fd_eigenvalues(SQUARE_H)
     mu = exact[1]
     monkeypatch.setattr(spectra, "FD_WINDOW_PAIRS", 3)
-    calls, inertia = [], spectra._count_below
+    calls, inertia = [], spectra._count_from
 
-    def spy(A, shift):
-        calls.append(shift)
-        return inertia(A, shift)
+    def spy(M, d, cut):
+        calls.append(cut)
+        return inertia(M, d, cut)
 
-    monkeypatch.setattr(spectra, "_count_below", spy)
+    monkeypatch.setattr(spectra, "_count_from", spy)
     shifts = _spy_eigsh_shifts(monkeypatch)
     spec = polygon_dirichlet_spectrum_fd(sq, SQUARE_H, 2.0 * mu)
     want = exact[exact < 2.0 * mu]
@@ -582,60 +588,59 @@ def test_fd_refuses_a_pair_from_another_window(monkeypatch):
     assert first in pairs and second in pairs
 
 
-def test_fd_round_lambda_max_is_counted_a_little_higher(monkeypatch):
+def test_fd_round_lambda_max_is_counted_a_little_lower(monkeypatch):
     # at h = 0.02 every entry of M = C^T C is a multiple of 1/h^4, and at lambda_max h^2 = 1
     # or 2 so is the shift (4/h^2 - lambda_max)^2: a leading minor of M - shift*I is exactly
-    # singular, and the count at lambda_max pivoted off the diagonal.  It is taken at
-    # lambda_max (1 + 1e-6) instead, and the eigenvalues below lambda_max are kept
-    pent = ConvexPolygon.regular(5)
-    calls, inertia = [], spectra._count_below
+    # singular, and the count at lambda_max pivoted off the diagonal.  At 5000 (1 + 1e-15)
+    # the factorization keeps the diagonal, but its smallest pivot is 1e-29 of the largest
+    # and of the wrong sign.  Each is counted at lambda_max (1 - 1e-6) instead, and the
+    # spectrum is complete below that top cut
+    pent, d = ConvexPolygon.regular(5), 4.0 / 0.02**2
+    shifts, factor = [], spectra._ldlt
 
     def spy(A, shift):
-        calls.append(shift)
-        return inertia(A, shift)
+        shifts.append(shift)
+        return factor(A, shift)
 
-    monkeypatch.setattr(spectra, "_count_below", spy)
+    monkeypatch.setattr(spectra, "_ldlt", spy)
     ref = polygon_dirichlet_spectrum_fd(pent, 0.02, 5001.0).eigenvalues
-    for lam in (2500.0, 5000.0):
-        del calls[:]
+    for lam, count in ((2500.0, 206), (5000.0, 454), (5000.0 * (1.0 + 1e-15), 454)):
+        del shifts[:]
         spec = polygon_dirichlet_spectrum_fd(pent, 0.02, lam)
-        assert calls[:2] == [lam, lam * (1.0 + 1e-6)]
-        assert spec.complete_below == lam
-        # the certified count below 2501 (5001) holds no eigenvalue at or above 2500 (5000)
-        assert len(spec) == np.count_nonzero(ref < lam + 1.0) == {2500.0: 206, 5000.0: 454}[lam]
+        assert shifts[:2] == [(d - lam) ** 2, (d - lam * (1.0 - 1e-6)) ** 2]
+        assert spec.complete_below == lam * (1.0 - 1e-6)
+        assert spec.eigenvalues[-1] < spec.complete_below
+        # the certified count below 2501 (5001) holds no eigenvalue in [top, lambda_max + 1)
+        assert len(spec) == np.count_nonzero(ref < lam + 1.0) == count
         assert np.max(np.abs(spec.eigenvalues - ref[:len(spec)]) / spec.eigenvalues) < 1e-12
     monkeypatch.undo()
-
-    def off_diagonal(A, shift):
-        raise RuntimeError(f"inertia factorization at {shift} pivoted off the diagonal")
-
-    monkeypatch.setattr(spectra, "_ldlt", off_diagonal)
+    monkeypatch.setattr(spectra, "_ldlt", lambda A, shift: OffDiagonal())
     with pytest.raises(RuntimeError, match="off the diagonal"):
         polygon_dirichlet_spectrum_fd(pent, 0.02, 2499.0)
 
 
-def test_fd_refuses_an_eigenvalue_at_a_moved_lambda_max(monkeypatch):
-    # a count at lambda_max that does not factor moves up; when lambda_max sits on a square
-    # eigenvalue, its Ritz value cannot be put on either side of lambda_max
+def test_fd_untrusted_lambda_max_on_an_eigenvalue_is_counted_below_it(monkeypatch):
+    # lambda_max sits on the 11th square eigenvalue and its count is not trusted: the top
+    # cut moves a little lower, the spectrum holds the 10 eigenvalues below it, and the
+    # count at the 11th, which the solve did not certify, is refused
     sq = ConvexPolygon.rectangle(1.0, 1.0)
     eleventh = _square_fd_eigenvalues(SQUARE_H)[10]
-    inertia = spectra._count_below
-
-    def count_fails_at(lam):
-        def count(A, shift):
-            if shift == lam:
-                raise RuntimeError(f"inertia factorization at {shift} pivoted off the diagonal")
-            return inertia(A, shift)
-        monkeypatch.setattr(spectra, "_count_below", count)
-
-    count_fails_at(eleventh)
-    with pytest.raises(RuntimeError, match="within 2 r_win .* of lambda_max"):
-        polygon_dirichlet_spectrum_fd(sq, SQUARE_H, eleventh)
-    # 1e-5 below it, farther than 2 r_win, the solve runs past that eigenvalue and drops it
-    lam = eleventh - 1e-5
-    count_fails_at(lam)
-    spec = polygon_dirichlet_spectrum_fd(sq, SQUARE_H, lam)
-    assert len(spec) == 10 and spec.complete_below == lam and spec.eigenvalues[-1] < lam
+    untrusted, factor = (4.0 / SQUARE_H**2 - eleventh) ** 2, spectra._ldlt
+    monkeypatch.setattr(spectra, "_ldlt", lambda A, shift:
+                        OffDiagonal() if shift == untrusted else factor(A, shift))
+    spec = polygon_dirichlet_spectrum_fd(sq, SQUARE_H, eleventh)
+    assert len(spec) == 10 and spec.complete_below == eleventh * (1.0 - 1e-6)
+    assert spec.eigenvalues[-1] < spec.complete_below < eleventh
+    with pytest.raises(CertifiedRangeError):
+        counting_function(spec, eleventh)
+    monkeypatch.undo()
+    # unfaked: at h = 1/30, 1800 = (4/h^2)(sin^2(pi/6) + sin^2(pi/6)) is an eigenvalue and a
+    # round cut whose count is not trusted
+    exact = _square_fd_eigenvalues(1.0 / 30.0)
+    spec = polygon_dirichlet_spectrum_fd(sq, 1.0 / 30.0, 1800.0)
+    assert spec.complete_below == 1800.0 * (1.0 - 1e-6)
+    assert len(spec) == np.count_nonzero(exact < 1799.99) == np.count_nonzero(exact < 1800.01) - 1
+    assert np.max(np.abs(spec.eigenvalues - exact[:len(spec)])) < 1e-9 * 1800.0
 
 
 def test_pointwise_spectral_function_center_values():

@@ -37,9 +37,12 @@ SHOWN = 12  # paths or lines listed per kind of move
 
 # run after the README lines, here and in the test suite's trace
 # (tests/conftest.py): a polygon FD heat-check on a square that save_polygon
-# writes there, and a Neumann gamma < 1 shape-opt that writes its trace CSV
+# writes there, a Neumann gamma < 1 shape-opt that writes its trace CSV, and an
+# FD spectrum of that square whose count at lambda_max is not trusted, so its
+# top cut moves a little lower
 TRACE_EXTRA = ("heat-check --domain polygon:square.json --grid-h 0.02 --t 0.01:0.04:4",
-               "shape-opt --lambda 100:100:1 --gamma 0.5 --bc neumann --csv trace.csv")
+               "shape-opt --lambda 100:100:1 --gamma 0.5 --bc neumann --csv trace.csv",
+               "spectrum --domain polygon:square.json --grid-h 0.02 --lambda-max 5000 --out fd-square.txt")
 
 
 def readme_argvs():
