@@ -67,16 +67,17 @@ def parse_grid(text, name="grid"):
 def parse_domain(text):
     if text == "unit-square":
         return Rectangle(1.0, 1.0)
-    if text.startswith("rect:"):
-        parts = text.split(":")[1:]
-        if len(parts) != 2:
-            raise ValueError("rectangle domain is rect:A:B")
-        return Rectangle(float(parts[0]), float(parts[1]))
-    if text.startswith("disk:"):
-        return Disk(float(text.split(":", 1)[1]))
     if text.startswith("polygon:"):
         return load_polygon(text.split(":", 1)[1])
-    raise ValueError(f"unknown domain {text!r}; use unit-square, rect:A:B, disk:R or polygon:PATH")
+    kind, *sizes = text.split(":")
+    shape = {("rect", 2): Rectangle, ("disk", 1): Disk}.get((kind, len(sizes)))
+    try:
+        sizes = [float(s) for s in sizes]
+    except ValueError:
+        shape = None
+    if shape is None:
+        raise ValueError(f"cannot parse domain spec {text!r}; use unit-square, rect:A:B, disk:R or polygon:PATH")
+    return shape(*sizes)
 
 
 # ---- subcommands -----------------------------------------------------------------

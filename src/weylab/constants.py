@@ -121,12 +121,7 @@ def heat_two_term_prediction(t, dim, volume, perimeter, bc):
 
 def heat_polygon_prediction(t, area, perimeter, angles):
     """Dirichlet polygon heat trace: area/(4 pi t) - perimeter/(8 sqrt(pi t)) + corner_sum."""
-    check_positive(t, "t")
-    return (
-        area / (4.0 * math.pi * t)
-        - perimeter / (8.0 * math.sqrt(math.pi * t))
-        + corner_sum(angles)
-    )
+    return heat_two_term_prediction(t, 2, area, perimeter, DIRICHLET) + corner_sum(angles)
 
 
 def heat_polygon_error_bound(t, area, n_corners, alpha_min, big_r):

@@ -104,6 +104,13 @@ class ConvexPolygon:
             raise ValueError("polygon spectra need --grid-h")
         return polygon_dirichlet_spectrum_fd(self, h, lambda_max)
 
+    def _count_bound(self):
+        """(0, 0, 4|Omega|/pi): N(mu) <= 16 L_{0,2}|Omega| mu, eight times Li-Yau's Dirichlet bound.
+        It bounds the 5-point FD count too: Berezin's inequality with the grid symbol >= 4|xi|^2/pi^2
+        gives N(mu) <= n h^2 pi mu/8, and n h^2 <= |Omega + B(h/sqrt 2)| < 1.84|Omega| for the n
+        grid points inside at h < r_in/2.  Polygon spectra are Dirichlet-only."""
+        return 0.0, 0.0, 4.0 * self.area / math.pi
+
     def contains(self, point, tol=0.0):
         p = np.asarray(point, dtype=float)
         return bool(np.all(self.normals @ p <= self.offsets + tol))

@@ -50,9 +50,10 @@ class MollifierFamily:
     alias psi(tau + FFT_SIZE*TAB_STEP), far below roundoff for |tau| <=
     TAB_HALF_WIDTH (Trefethen & Weideman, SIAM Rev. 56, 2014).
     The constructor builds everything in one pass: the tabulation, its one cubic
-    spline, the spline's half-line moments and the antiderivative chain
-    A_0 ... A_{MAX_HIERARCHY_K+1} of the spline on [0, WINDOW_HALF_WIDTH], which
-    every hierarchy on the family shares.
+    spline, the spline's half-line moments and the top A_{MAX_HIERARCHY_K+1} of the
+    antiderivative chain of the spline on [0, WINDOW_HALF_WIDTH], which every
+    hierarchy on the family shares; a lower level A_k is its derivative of order
+    MAX_HIERARCHY_K + 1 - k.
     """
 
     def __init__(self):
@@ -87,17 +88,15 @@ class MollifierFamily:
         spline = CubicSpline(self.tab_grid, self._phi_tab, bc_type=((1, 0.0), "not-a-knot"))
         self._half_moments = _spline_half_moments(spline)
         # right-half chain A_k with the left-tail integration constant
-        # A_k(0) = int_0^inf u^{k-1} phi(u) du / (k-1)! restored exactly.  The
-        # window starts at the grid's left end, where an antiderivative's
-        # constants start accumulating, so integrating the windowed spline gives
-        # the window of the full-range chain piece for piece.
+        # A_k(0) = int_0^inf u^{k-1} phi(u) du / (k-1)! restored exactly; only the
+        # top level is kept.  The window starts at the grid's left end, where an
+        # antiderivative's constants start accumulating, so integrating the windowed
+        # spline gives the window of the full-range chain piece for piece.
         n_win = int(round(WINDOW_HALF_WIDTH / TAB_STEP))
-        level = PPoly(spline.c[:, :n_win], spline.x[:n_win + 1])
-        self._a_window = [level]
+        self._chain = PPoly(spline.c[:, :n_win], spline.x[:n_win + 1])
         for k in range(1, MAX_HIERARCHY_K + 2):
-            level = level.antiderivative()
-            level.c[-1, :] += self._half_moments[k - 1] / math.factorial(k - 1)
-            self._a_window.append(level)
+            self._chain = self._chain.antiderivative()
+            self._chain.c[-1, :] += self._half_moments[k - 1] / math.factorial(k - 1)
 
     def chi_moment(self, k):
         """k-th moment (k <= MAX_HIERARCHY_K) of the unit-scale bump; odd ones vanish."""
@@ -247,7 +246,7 @@ class PhiHierarchy:
             raise ValueError(
                 f"evaluation point beyond the tabulated window |tau| <= {WINDOW_HALF_WIDTH:g}")
         at = np.abs(tau)
-        out = self.family._a_window[level](at)
+        out = self.family._chain(at, MAX_HIERARCHY_K + 1 - level)
         for j in range(0, k, 2):
             out = out - self.moments[j] * self._B(level - j, at)
         return tau, out

@@ -1,10 +1,10 @@
 """Exact and discretized planar Laplace spectra plus the functionals built on them.
 
-Domains (Rectangle, Disk, geometry.ConvexPolygon) share area, perimeter, inradius,
-angles (None for the disk), corners() (not the disk), key() and spectrum(bc,
-lambda_max, h): lattice sums, Bessel zeros or 5-point FD.  On a Spectrum sit the
-counting function (strict inequality), Riesz means, heat traces with a certified
-tail bound, rectangle pointwise spectral functions and the Dirichlet/Neumann gap.
+Domains (Rectangle, Disk, geometry.ConvexPolygon) share area, perimeter, inradius, angles
+(None for the disk), corners() (not the disk), key(), a count bound and spectrum(bc,
+lambda_max, h): lattice sums, Bessel zeros or 5-point FD.  On a Spectrum sit the counting
+function (strict inequality), Riesz means, heat traces with a tail bound from the domain's
+count bound, rectangle pointwise spectral functions and the Dirichlet/Neumann gap.
 """
 
 import json
@@ -16,8 +16,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.special import j0, j1, jv, jvp
 
-from .constants import (DIRICHLET, NEUMANN, check_bc, check_nonnegative, check_positive,
-                        lt_constant)
+from .constants import DIRICHLET, NEUMANN, check_bc, check_nonnegative, check_positive
 from .geometry import ConvexPolygon, corner_params
 
 # memory cap: eigenvalues enumerated, Bessel-zero table entries, or FD box grid points
@@ -84,8 +83,9 @@ class Rectangle:
             raise ValueError("--grid-h applies to polygon domains only")
         return rectangle_spectrum(self.a, self.b, bc, lambda_max)
 
-    def _neumann_count_bound(self):
-        """(c0, c1, c2) with N_N(mu) <= c0 + c1 sqrt(mu) + c2 mu: (a sqrt(mu)/pi + 1)(b sqrt(mu)/pi + 1)."""
+    def _count_bound(self):
+        """(c0, c1, c2) with N(mu) <= c0 + c1 sqrt(mu) + c2 mu under both conditions: N_N(mu) <=
+        (a sqrt(mu)/pi + 1)(b sqrt(mu)/pi + 1) on the lattice, and N_D(mu) <= N_N(mu) by min-max."""
         return 1.0, (self.a + self.b) / math.pi, self.a * self.b / math.pi**2
 
 
@@ -117,11 +117,12 @@ class Disk:
             raise ValueError("--grid-h applies to polygon domains only")
         return disk_spectrum(self.radius, bc, lambda_max)
 
-    def _neumann_count_bound(self):
+    def _count_bound(self):
         """As Rectangle's, from N_N(mu) <= 1 + N_D(mu) + 2 ceil(R sqrt(mu)) <= 3 + 2R sqrt(mu) + R^2 mu/2.
 
         The Rolle interlacing that disk_spectrum certifies leaves each order 1 <= nu < R sqrt(mu)
-        at most one more J_nu' zero than J_nu zeros; Li-Yau gives N_D(mu) <= |Omega| mu / (2 pi)."""
+        at most one more J_nu' zero than J_nu zeros; Li-Yau gives N_D(mu) <= |Omega| mu / (2 pi).
+        N_D(mu) <= N_N(mu) by min-max, so the bound holds for both conditions."""
         return 3.0, 2.0 * self.radius, 0.5 * self.radius**2
 
 
@@ -153,8 +154,7 @@ class Spectrum:
         self.eigenvalues = ev
         self.complete_below = float(complete_below)
         self.domain = domain.key()
-        self.area = domain.area
-        self.neumann_count_bound = domain._neumann_count_bound() if self.bc == NEUMANN else None
+        self.count_bound = domain._count_bound()
         self.exact = bool(exact)
 
     def __len__(self):
@@ -498,21 +498,18 @@ def heat_trace(spec, t):
     """Heat trace over the certified part of the spectrum plus a tail bound.
 
     The omitted tail sum_{lambda_n >= Lambda} e^{-t lambda_n}, Lambda = complete_below, is at
-    most t int_Lambda^inf e^{-t mu} N(mu) dmu for any bound N on the count.  Dirichlet takes
-    N(mu) = 16 L_{0,2}|Omega| mu (8 times Li-Yau's), Neumann the domain's c0 + c1 sqrt(mu) + c2 mu;
-    the erfc term is the integral of c1 sqrt(mu).
+    most t int_Lambda^inf e^{-t mu} N(mu) dmu for any bound N on the count; this takes the
+    domain's own N(mu) <= c0 + c1 sqrt(mu) + c2 mu, and the erfc term is the integral of
+    c1 sqrt(mu).
     """
     check_positive(t, "t")
     ev = spec.eigenvalues[spec.eigenvalues < spec.complete_below]
     value = float(np.sum(np.exp(-t * ev)))
     lam = spec.complete_below
     x = t * lam
-    if spec.bc == DIRICHLET:
-        tail = 16.0 * lt_constant(0, 2) * spec.area / t * (1.0 + x) * math.exp(-x)
-    else:
-        c0, c1, c2 = spec.neumann_count_bound
-        tail = ((c0 + c1 * math.sqrt(lam) + c2 * (lam + 1.0 / t)) * math.exp(-x)
-                + 0.5 * c1 * math.sqrt(math.pi / t) * math.erfc(math.sqrt(x)))
+    c0, c1, c2 = spec.count_bound
+    tail = ((c0 + c1 * math.sqrt(lam) + c2 * (lam + 1.0 / t)) * math.exp(-x)
+            + 0.5 * c1 * math.sqrt(math.pi / t) * math.erfc(math.sqrt(x)))
     return value, tail
 
 

@@ -49,6 +49,10 @@ def test_parse_domain(tmp_path):
         parse_domain("torus:1")
     with pytest.raises(ValueError):
         parse_domain("rect:2")
+    # a size that is no number names the spec, not the float conversion
+    for bad in ("disk:", "rect:a:1"):
+        with pytest.raises(ValueError, match=f"cannot parse domain spec '{bad}'"):
+            parse_domain(bad)
     # infinite or NaN sizes are refused before the lattice enumeration overflows
     for bad in ("rect:inf:1", "rect:1:inf", "rect:nan:1", "disk:inf", "disk:nan"):
         with pytest.raises(ValueError, match="finite"):
@@ -411,6 +415,8 @@ BAD_INPUT = {
                          "--grid-h applies to polygon domains only"),
     "rect-grid-h-spectrum": (["spectrum", "--domain", "rect:1:2", "--grid-h", "0.1", "--lambda-max", "100",
                               "--out", "x.spec"], "--grid-h applies to polygon domains only"),
+    "disk-no-radius": (["weyl-check", "--domain", "disk:", "--lambda", "1:2:2"],
+                       "cannot parse domain spec 'disk:'"),
 }
 
 

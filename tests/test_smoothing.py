@@ -2,10 +2,11 @@
 
 import argparse
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from pointwise_refit import refit_slope
 from weylab import smoothing
@@ -185,22 +186,41 @@ def test_hierarchy_build_fits_one_spline(monkeypatch):
 
 def test_windowed_chain_matches_the_full_range_chain():
     # the family integrates the spline restricted to [0, WINDOW_HALF_WIDTH]; the
-    # chain of the full-range spline, each level then restricted to the window,
-    # has the same pieces bit for bit
+    # chain of the full-range spline, its top level then restricted to the window,
+    # has the same pieces bit for bit, and each lower level, the family's as a
+    # derivative of the top one, is within 1e-15 of that level's largest |value|
     def restricted(pp):
         x = pp.x
         i0 = max(0, np.searchsorted(x, 0.0, side="right") - 1)
         i1 = min(len(x) - 1, np.searchsorted(x, WINDOW_HALF_WIDTH, side="left"))
-        return pp.c[:, i0:i1], x[i0:i1 + 1]
+        return PPoly(pp.c[:, i0:i1], x[i0:i1 + 1])
 
     level = CubicSpline(FAM.tab_grid, FAM._phi_tab, bc_type=((1, 0.0), "not-a-knot"))
-    assert len(FAM._a_window) == MAX_HIERARCHY_K + 2
-    for k, window in enumerate(FAM._a_window):
-        if k:
-            level = level.antiderivative()
-            level.c[-1, :] += FAM._half_moments[k - 1] / math.factorial(k - 1)
-        c, x = restricted(level)
-        assert np.array_equal(window.c, c) and np.array_equal(window.x, x), f"k={k}"
+    levels = [restricted(level)]
+    for k in range(1, MAX_HIERARCHY_K + 2):
+        level = level.antiderivative()
+        level.c[-1, :] += FAM._half_moments[k - 1] / math.factorial(k - 1)
+        levels.append(restricted(level))
+    assert np.array_equal(FAM._chain.c, levels[-1].c) and np.array_equal(FAM._chain.x, levels[-1].x)
+    # piece ends, midpoints and points in between over the whole window
+    at = np.unique(np.concatenate((FAM._chain.x[::64], np.linspace(0.0, WINDOW_HALF_WIDTH, 5007))))
+    for k, want in enumerate(levels):
+        want = want(at)
+        got = FAM._chain(at, MAX_HIERARCHY_K + 1 - k)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), f"k={k}"
+
+
+def test_family_holds_one_chain():
+    # the family keeps the top chain level only (13 coefficients per piece), not
+    # all ten levels: measured 6.3 MB held after construction, where ten levels held 24.3 MB
+    tracemalloc.start()
+    try:
+        fam = MollifierFamily()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fam._chain.c.shape[0] == MAX_HIERARCHY_K + 5
+    assert held <= 8e6, f"family holds {held / 1e6:.2f} MB"
 
 
 def test_bump_chain_against_mpmath():

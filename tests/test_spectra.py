@@ -219,22 +219,40 @@ def test_heat_trace_tail_bound_is_honest():
         heat_trace(full, 0.0)
 
 
-@pytest.mark.parametrize("domain,bc", [(Rectangle(1.0, b), NEUMANN) for b in (1.0, 1e-1, 1e-2, 1e-3, 1e-4)]
-                         + [(Disk(1.0), DIRICHLET), (Disk(1.0), NEUMANN)],
-                         ids=["rect-1", "rect-1e-1", "rect-1e-2", "rect-1e-3", "rect-1e-4",
-                              "disk-dirichlet", "disk-neumann"])
-def test_heat_trace_tail_bounds_the_exact_omitted_tail(domain, bc):
-    # Lambda sits just below an eigenvalue, where the omitted tail is largest
-    # next to e^{-t Lambda}; the exact tail sums the spectrum up to 750/t, past
-    # which every term e^{-t lambda} underflows.  heat-check takes t = 30/Lambda:
-    # just below 4 pi^2 that is t = 0.75991, where a 16 L_{0,2}|Omega| mu count
-    # bound gave thin Neumann rectangles tails 1.9-193 times too small.
-    for target in (4 * PI2 * (1 - 1e-9), 60.0, 300.0):
-        ev = domain.spectrum(bc, target * 1.5).eigenvalues
-        lam = ev[np.searchsorted(ev, target)] * (1 - 1e-12)
-        cut = domain.spectrum(bc, lam)
+TAIL_CASES = {
+    **{f"rect-{b}": (Rectangle(1.0, float(b)), NEUMANN, None) for b in ("1", "1e-1", "1e-2", "1e-3", "1e-4")},
+    "disk-dirichlet": (Disk(1.0), DIRICHLET, None),
+    "disk-neumann": (Disk(1.0), NEUMANN, None),
+    **{f"rect-D-{b}": (Rectangle(1.0, float(b)), DIRICHLET, None) for b in ("1", "0.5", "0.1", "0.01", "0.001")},
+    "disk-0.1-dirichlet": (Disk(0.1), DIRICHLET, None),
+    **{f"fd-square-h{h}": (ConvexPolygon.rectangle(1.0, 1.0), DIRICHLET, float(h)) for h in ("0.1", "0.05", "0.02")},
+}
+
+
+@pytest.mark.parametrize("domain,bc,h", TAIL_CASES.values(), ids=TAIL_CASES.keys())
+def test_heat_trace_tail_bounds_the_exact_omitted_tail(domain, bc, h):
+    # Lambda sits just below an eigenvalue, where the omitted tail is largest next
+    # to e^{-t Lambda}: the first one past each target, and the 2nd, 11th and 101st.
+    # heat-check takes t = 30/Lambda: just below 4 pi^2 that is t = 0.75991, where a
+    # 16 L_{0,2}|Omega| mu count bound gave thin Neumann rectangles tails 1.9-193 times
+    # too small.  The exact tail sums the spectrum up to 375 Lambda, past which every
+    # term e^{-t lambda}, t >= 2/Lambda, underflows; the FD square's whole 5-point
+    # spectrum is closed-form, and FD spectra are computed below 4/h^2 only.
+    if h is None:
+        top = 450.0
+        while len(ev := domain.spectrum(bc, top).eigenvalues) <= 100 or ev[-1] < 300.0:
+            top *= 4.0
+    else:
+        full = _square_fd_eigenvalues(h)
+        ev = full[full < 4.0 / h**2]
+    ranks = [np.searchsorted(ev, target) for target in (4 * PI2 * (1 - 1e-9), 60.0, 300.0)]
+    lams = [ev[r] * (1 - 1e-12) for r in ranks + [1, 10, 100] if r < len(ev)]
+    if h is None:
+        full = domain.spectrum(bc, 375.0 * max(lams)).eigenvalues
+    for lam in lams:
+        cut = domain.spectrum(bc, lam, h)
+        lam = cut.complete_below
         for t in (2.0 / lam, 30.0 / lam):
-            full = domain.spectrum(bc, 750.0 / t).eigenvalues
             exact = float(np.sum(np.exp(-t * full[full >= lam])))
             tail = heat_trace(cut, t)[1]
             assert exact > 0.0 and tail >= exact, (lam, t, tail, exact)
@@ -244,7 +262,7 @@ def test_spectrum_save_load_roundtrip(tmp_path):
     # a JSON header line, then `index,eigenvalue,group` per eigenvalue, the
     # eigenvalue %.17g and the group stepping by one where the value changes; the
     # loaded spectrum rebuilds its domain from the saved key, so the heat trace
-    # (whose tail bound needs the area) comes back bit for bit
+    # (whose tail bound needs the domain's count bound) comes back bit for bit
     for name, spec in (("rect", rectangle_spectrum(1.0, 2.0, NEUMANN, 300.0)),
                        ("disk", disk_spectrum(1.0, DIRICHLET, 60.0)),
                        ("fd", ConvexPolygon.regular(6).spectrum(DIRICHLET, 200.0, 0.05))):
@@ -261,7 +279,7 @@ def test_spectrum_save_load_roundtrip(tmp_path):
         back = Spectrum.load(path)
         assert np.array_equal(spec.eigenvalues, back.eigenvalues)
         assert back.domain == spec.domain
-        assert back.area == spec.area
+        assert back.count_bound == spec.count_bound
         assert back.complete_below == spec.complete_below
         assert back.exact == spec.exact == (name != "fd")
         for t in (0.01, 0.1):

@@ -37,12 +37,14 @@ SHOWN = 12  # paths or lines listed per kind of move
 
 # run after the README lines, here and in the test suite's trace
 # (tests/conftest.py): a polygon FD heat-check on a square that save_polygon
-# writes there, a Neumann gamma < 1 shape-opt that writes its trace CSV, and an
+# writes there, a Neumann gamma < 1 shape-opt that writes its trace CSV, an
 # FD spectrum of that square whose count at lambda_max is not trusted, so its
-# top cut moves a little lower
+# top cut moves a little lower, and a Neumann disk heat-check, whose tails
+# integrate the disk's own count bound
 TRACE_EXTRA = ("heat-check --domain polygon:square.json --grid-h 0.02 --t 0.01:0.04:4",
                "shape-opt --lambda 100:100:1 --gamma 0.5 --bc neumann --csv trace.csv",
-               "spectrum --domain polygon:square.json --grid-h 0.02 --lambda-max 5000 --out fd-square.txt")
+               "spectrum --domain polygon:square.json --grid-h 0.02 --lambda-max 5000 --out fd-square.txt",
+               "heat-check --domain disk:1 --bc neumann --t 0.005:0.02:4")
 
 
 def readme_argvs():
