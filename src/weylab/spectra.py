@@ -22,8 +22,8 @@ from .geometry import ConvexPolygon, corner_params
 # memory cap: eigenvalues enumerated, Bessel-zero table entries, or FD box grid points
 MAX_EIGENVALUES = 5_000_000
 
-# Bessel-zero grid step: below the smallest gap (> 2.9) between consecutive zeros
-# of J_nu or of J_nu', and below every j'_{nu,1} - nu (> 0.8)
+# Bessel-zero grid step: below every gap (> 2.9) between consecutive zeros of J_nu or of J_nu'
+# and every j'_{nu,1} - nu (> 0.8); a grid that missed a zero fails disk_spectrum's count check
 BESSEL_GRID_STEP = 0.5
 
 # eigenpairs per shift-invert window of the FD solve
@@ -120,7 +120,7 @@ class Disk:
     def _count_bound(self):
         """As Rectangle's, from N_N(mu) <= 1 + N_D(mu) + 2 ceil(R sqrt(mu)) <= 3 + 2R sqrt(mu) + R^2 mu/2.
 
-        The Rolle interlacing that disk_spectrum certifies leaves each order 1 <= nu < R sqrt(mu)
+        The J_nu' and J_nu zeros interlace (DLMF 10.21(i)), leaving each order 1 <= nu < R sqrt(mu)
         at most one more J_nu' zero than J_nu zeros; Li-Yau gives N_D(mu) <= |Omega| mu / (2 pi).
         N_D(mu) <= N_N(mu) by min-max, so the bound holds for both conditions."""
         return 3.0, 2.0 * self.radius, 0.5 * self.radius**2
@@ -257,15 +257,15 @@ def _bessel_brackets(x_end, nu_stop, derivative):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _raise_unless(ok, what, nu0=0, k0=1):
+def _raise_unless(ok, what, k0=1):
     for nu, k in np.argwhere(~ok)[:1]:
-        raise RuntimeError(f"Bessel {what} failure at (nu={nu + nu0}, k={k + k0})")
+        raise RuntimeError(f"Bessel {what} failure at (nu={nu}, k={k + k0})")
 
 
 def _bessel_zeros(x_end, nu_stop, derivative):
     """Z[nu, k] = (k+1)-th zero of J_nu (nonzero zero of J_nu'), inf-padded, every zero below
     the grid end (> x_end) for nu < nu_stop.  Safeguarded Newton refines all brackets at
-    once; then AMOS residual, ordering and (J_nu) cross-order interlacing are checked."""
+    once; then AMOS residual and ordering are checked, and disk_spectrum counts each row."""
     nu, a, sa = _bessel_brackets(x_end, nu_stop, derivative)
     b, z = a + BESSEL_GRID_STEP, a + 0.5 * BESSEL_GRID_STEP
     first = np.searchsorted(nu, np.arange(nu_stop + 1))
@@ -293,10 +293,23 @@ def _bessel_zeros(x_end, nu_stop, derivative):
     ok = np.ones(Z.shape, dtype=bool)
     ok[nu, k] = np.abs(jvp(nu, z) if derivative else jv(nu, z)) <= 1e-9
     _raise_unless(ok, "zero residual")
-    _raise_unless((Z[:, :-1] < Z[:, 1:]) | np.isinf(Z[:, 1:]), "ordering", 0, 2)
-    if not derivative:
-        _raise_unless((Z[:-1] < Z[1:]) | np.isinf(Z[1:]), "interlacing", 1)
+    _raise_unless((Z[:, :-1] < Z[:, 1:]) | np.isinf(Z[:, 1:]), "ordering", 2)
     return Z
+
+
+def _bessel_counts(x, derivative):
+    """N[nu] = #zeros of J_nu (nonzero zeros of J_nu') below x, nu < ceil(x), from signs at x (DLMF
+    10.21(i)): J_nu > 0 on (0, j_{nu,1}), j_{nu,1} > nu and the J_nu, J_{nu+1} zeros interlace, so
+    N_nu - N_{nu+1} = [J_nu(x) J_{nu+1}(x) < 0]; J_nu' zeros interlace with J_nu zeros, so N'_nu is
+    N_nu or N_nu + 1 by the parity of [J_nu'(x) < 0] (nu >= 1), N'_0 = N_1.  Each sign, of J_nu and
+    J_nu' alike, counts only if |f(x)| > 16 x eps sqrt(2/(pi x)) (AMOS errs more at large x)."""
+    nu = np.arange(math.ceil(x))
+    f = np.array([jv(nu, x)] + ([jvp(nu, x)] if derivative else []))
+    if np.abs(f).min() <= 16.0 * np.finfo(float).eps * math.sqrt(2.0 * x / math.pi):
+        raise RuntimeError(f"Bessel zero count not certified: x = {x!r} is within roundoff of a zero")
+    s = np.signbit(np.append(f[0], 1.0))  # J_{ceil(x)}(x) > 0 as j_{nu,1} > nu
+    n = np.append(np.cumsum((s[:-1] != s[1:])[::-1])[::-1], 0)
+    return np.append(n[1], n[1:-1] + (n[1:-1] % 2 != np.signbit(f[1, 1:]))) if derivative else n[:-1]
 
 
 def disk_spectrum(radius, bc, lambda_max):
@@ -306,23 +319,15 @@ def disk_spectrum(radius, bc, lambda_max):
     bc = check_bc(bc)
     x_max = radius * math.sqrt(lambda_max)
     derivative = bc == NEUMANN
-    # Rolle: j_{nu,k-1} < j'_{nu,k} < j_{nu,k} with j_{nu,0} = 0, or for nu = 0 (no zero
-    # z = 0) j_{0,k} < j'_{0,k} < j_{0,k+1}.  The reference reaches up to ~1.05 nu^(1/3)
-    # past a row's last J_nu' zero near the turning point.
-    x_ref = x_max + 1.1 * x_max ** (1.0 / 3.0) + math.pi
-    # a zero table up to x has ceil(x_max) rows of fewer than x/pi + 2 entries, more than
-    # the N ~ x_max^2 / 4 eigenvalues; refuse before allocating either
-    cells = math.ceil(x_max) * ((x_ref if derivative else x_max) / math.pi + 2.0)
+    # the zero table has ceil(x_max) rows of about x_max/pi + 2 entries, more than the
+    # N ~ x_max^2 / 4 eigenvalues; refuse before allocating either
+    cells = math.ceil(x_max) * (x_max / math.pi + 2.0)
     if cells > MAX_EIGENVALUES:
         raise CapacityError(f"disk at R^2 lambda = {x_max**2:.4g} needs ~{cells:.3g} Bessel-zero"
                             f" table entries, above the cap {MAX_EIGENVALUES}")
-    Z = _bessel_zeros(x_max, math.ceil(x_max), derivative)
-    if derivative:
-        ref = _bessel_zeros(x_ref, Z.shape[0], False)
-        ref = np.pad(ref, ((0, 0), (1, Z.shape[1])), constant_values=((0, 0), (0.0, np.inf)))
-        ref[0, :-1] = ref[0, 1:]
-        lo, hi = ref[:, :Z.shape[1]], ref[:, 1:Z.shape[1] + 1]
-        _raise_unless((lo < Z) & (Z < hi) & (hi < np.inf) | np.isinf(Z), "interlacing")
+    count = _bessel_counts(x_max, derivative)
+    Z = _bessel_zeros(x_max, count.size, derivative)
+    _raise_unless((Z < x_max) == (np.arange(Z.shape[1]) < count[:, None]), "zero count")
     nu, k = np.nonzero(Z < x_max)
     vals = np.repeat((Z[nu, k] / radius) ** 2, np.where(nu == 0, 1, 2))
     if derivative:  # constant mode

@@ -74,7 +74,13 @@ def test_disk_capacity_guard_refuses_up_front(monkeypatch):
         with pytest.raises(CapacityError):
             disk_spectrum(1.0, bc, 1e4)
     monkeypatch.undo()
-    assert len(disk_spectrum(1.0, DIRICHLET, 1e4)) == 2456
+    # both conditions estimate 100 * (100/pi + 2) = 3383 table entries, so a cap of 3500
+    # builds both, each from one zero table
+    monkeypatch.setattr(spectra, "MAX_EIGENVALUES", 3500)
+    zeros, calls = spectra._bessel_zeros, []
+    monkeypatch.setattr(spectra, "_bessel_zeros", lambda *args: calls.append(args) or zeros(*args))
+    assert [len(disk_spectrum(1.0, bc, 1e4)) for bc in (DIRICHLET, NEUMANN)] == [2456, 2556]
+    assert [derivative for _, _, derivative in calls] == [False, True]
 
 
 def test_fd_capacity_guard_refuses_up_front(monkeypatch):
@@ -172,22 +178,44 @@ def test_disk_spectrum_matches_per_order_reference(bc, radius):
         assert np.allclose(spec.eigenvalues, want, rtol=1e-14, atol=0.0), lam
 
 
-@pytest.mark.parametrize("bc, corrupt_derivative",
-                         [(DIRICHLET, False), (NEUMANN, True), (NEUMANN, False)])
-def test_disk_spectrum_refuses_a_missed_zero(monkeypatch, bc, corrupt_derivative):
-    # drop the second zero of J_3 (or of J_3', or of the J_3 Rolle reference)
+@pytest.mark.parametrize("bc, nu, k", [(DIRICHLET, 3, 1), (NEUMANN, 3, 1), (DIRICHLET, 63, -1),
+                                       (NEUMANN, 0, -1), (NEUMANN, 7, -1)])
+def test_disk_spectrum_refuses_a_missed_zero(monkeypatch, bc, nu, k):
+    # drop the second zero (k = 1) or the last zero below x_max = 100 (k = -1) of J_nu or J_nu'
+    zeros = (jnp_zeros if bc == NEUMANN else jn_zeros)(nu, 40)
+    z = zeros[zeros < 100.0][k]
     brackets = spectra._bessel_brackets
 
     def drop_one(x_end, nu_stop, derivative):
         out = brackets(x_end, nu_stop, derivative)
-        if derivative != corrupt_derivative:
-            return out
-        i = np.flatnonzero(out[0] == 3)[1]
+        i = np.flatnonzero((out[0] == nu) & (out[1] < z) & (z < out[1] + spectra.BESSEL_GRID_STEP))
+        assert i.size == 1
         return tuple(np.delete(col, i) for col in out)
 
     monkeypatch.setattr(spectra, "_bessel_brackets", drop_one)
-    with pytest.raises(RuntimeError, match="interlacing"):
+    with pytest.raises(RuntimeError, match=f"zero count failure at \\(nu={nu}, k="):
         disk_spectrum(1.0, bc, 1e4)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_bessel_counts_match_per_order_zeros(bc):
+    # an independent route: specfun's zeros (jn_zeros, jnp_zeros) counted order by order
+    derivative = bc == NEUMANN
+    rng = np.random.default_rng(20261022)
+    for radius in (0.5, 1.0, 2.0):
+        for lam in 10.0 ** rng.uniform(-1.0, 4.0, 4):
+            x = radius * math.sqrt(lam)
+            want = [np.count_nonzero((jnp_zeros if derivative else jn_zeros)(nu, int(x / math.pi) + 3) < x)
+                    for nu in range(math.ceil(x))]
+            assert spectra._bessel_counts(x, derivative).tolist() == want, (radius, lam)
+
+
+@pytest.mark.parametrize("bc, zeros", [(DIRICHLET, jn_zeros), (NEUMANN, jnp_zeros), (NEUMANN, jn_zeros)])
+def test_disk_spectrum_refuses_lambda_max_on_a_zero(bc, zeros):
+    # R sqrt(lambda_max) on j_{3,2} (j'_{3,2}): no sign there is certified.  A Neumann count
+    # reads J_nu signs too, so it refuses on j_{3,2} as well.
+    with pytest.raises(RuntimeError, match="count not certified"):
+        disk_spectrum(1.0, bc, zeros(3, 2)[1] ** 2)
 
 
 def test_disk_radius_scaling():

@@ -44,7 +44,8 @@ SHOWN = 12  # paths or lines listed per kind of move
 TRACE_EXTRA = ("heat-check --domain polygon:square.json --grid-h 0.02 --t 0.01:0.04:4",
                "shape-opt --lambda 100:100:1 --gamma 0.5 --bc neumann --csv trace.csv",
                "spectrum --domain polygon:square.json --grid-h 0.02 --lambda-max 5000 --out fd-square.txt",
-               "heat-check --domain disk:1 --bc neumann --t 0.005:0.02:4")
+               "heat-check --domain disk:1 --bc neumann --t 0.005:0.02:4",
+               "spectrum --domain disk:1 --bc neumann --lambda-max 2e4 --out disk-n.txt")
 
 
 def readme_argvs():
